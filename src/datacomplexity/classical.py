@@ -51,12 +51,16 @@ class Spectrum:
         ev.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
 
-    def rank(self) -> int:
-        """Count of eigenvalues above the relative zero threshold."""
+    def nonzero(self) -> np.ndarray:
+        """Eigenvalues above the relative zero threshold."""
         ev = self.eigenvalues
         if ev[0] <= 0.0:
-            return 0
-        return int(np.sum(ev > EIGENVALUE_ZERO_REL * ev[0]))
+            return ev[:0]
+        return ev[ev > EIGENVALUE_ZERO_REL * ev[0]]
+
+    def rank(self) -> int:
+        """Count of eigenvalues above the relative zero threshold."""
+        return int(self.nonzero().size)
 
 
 @dataclass(frozen=True)
@@ -78,9 +82,7 @@ def covariance_spectrum(ds: Dataset) -> Spectrum:
     return Spectrum(eigenvalues=np.clip(ev, 0.0, None), source="covariance")
 
 
-def intrinsic_dimension(s: Spectrum) -> float:
-    """Participation ratio of the spectrum: (sum)^2 / sum of squares."""
-    ev = s.eigenvalues
+def _participation_ratio(ev: np.ndarray) -> float:
     total = float(ev.sum())
     sq = float((ev**2).sum())
     if sq <= 0.0:
@@ -88,14 +90,22 @@ def intrinsic_dimension(s: Spectrum) -> float:
     return total * total / sq
 
 
-def effective_rank(s: Spectrum) -> float:
-    """Same participation-ratio formula applied to a kernel spectrum.
+def intrinsic_dimension(s: Spectrum) -> float:
+    """Participation ratio of the spectrum: (sum)^2 / sum of squares."""
+    return _participation_ratio(s.eigenvalues)
 
-    Checked per call against the regularized effective dimension at zero
-    ridge: r_eff can never exceed the count of nonzero eigenvalues.
+
+def effective_rank(s: Spectrum) -> float:
+    """Participation ratio of the eigenvalues above the relative zero threshold.
+
+    Sub-threshold eigenvalues are dropped, as in kernel_effective_dimension,
+    so by Cauchy-Schwarz r_eff never exceeds the count of nonzero
+    eigenvalues; each call checks that bound.
     """
-    r = intrinsic_dimension(s)
-    assert r <= s.rank() + 1e-9, "effective rank exceeded the spectrum rank"
+    kept = s.nonzero()
+    r = _participation_ratio(kept)
+    if r > kept.size + 1e-9:
+        raise NumericalError(f"effective rank {r} exceeded the spectrum rank {kept.size}")
     return r
 
 
@@ -105,22 +115,21 @@ def kernel_effective_dimension(s: Spectrum, lam: float) -> float:
     The relative zero threshold applies at every lam, not just lam = 0 where
     the value is the nonzero-eigenvalue count; otherwise a sub-threshold
     eigenvalue could push d_eff above the rank for tiny ridges. Each call
-    asserts the spectral lower bound (sum)^2 / (sum of squares + lam * sum).
+    checks the spectral lower bound (sum)^2 / (sum of squares + lam * sum).
     """
     if lam < 0:
         raise InvalidConfig("regularization must be >= 0")
-    ev = s.eigenvalues
-    if ev[0] > 0.0:
-        ev = ev[ev > EIGENVALUE_ZERO_REL * ev[0]]
+    ev = s.nonzero()
     if lam == 0.0:
-        d_eff = float(s.rank())
+        d_eff = float(ev.size)
     else:
         d_eff = float(np.sum(ev / (ev + lam)))
     total = float(ev.sum())
     denom = float((ev**2).sum()) + lam * total  # can underflow for subnormal spectra
     if total > 0.0 and denom > 0.0:
         bound = total * total / denom
-        assert d_eff >= bound - 1e-9, "effective dimension fell below its spectral lower bound"
+        if d_eff < bound - 1e-9:
+            raise NumericalError(f"effective dimension {d_eff} fell below its spectral lower bound {bound}")
     return d_eff
 
 

@@ -137,15 +137,6 @@ def _cmd_qprofile(args) -> int:
 
 
 def _cmd_barren(args) -> int:
-    if args.samples < 200:
-        print("samples must be >= 200", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.n_max > 12:
-        print("n-max must be <= 12", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.n_min < 1 or args.n_min > args.n_max or args.depth < 1:
-        print("need 1 <= n-min <= n-max and depth >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
     cfg = load_config(args.config) if args.config else validate_config(ConfigProfile())
     if args.seed is not None:
         cfg = validate_config(dataclasses.replace(cfg, seed=args.seed))

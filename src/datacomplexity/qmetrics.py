@@ -393,8 +393,12 @@ def gradient_variance_study(
     the least-squares slope of ln Var against n.
     """
     n_range = tuple(int(n) for n in n_range)
+    if not n_range:
+        raise InvalidConfig("need at least one qubit count")
     if any(n < 1 or n > 12 for n in n_range):
         raise InvalidConfig("qubit counts must lie in 1..12")
+    if depth < 1:
+        raise InvalidConfig("depth must be >= 1")
     if n_samples < 200:
         raise InvalidConfig("n_samples must be >= 200")
     if cost_kind not in ("global", "local"):
@@ -477,20 +481,21 @@ def magic_monotone(rho: DensityMatrix) -> None:
 
 
 def ensemble_gram(e: QuantumEnsemble) -> np.ndarray:
-    """Pairwise fidelity Gram matrix K[i][j] = |<psi_i|psi_j>|^2."""
-    n = e.size
-    gram = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        gram[i, i] = 1.0
-        for j in range(i + 1, n):
-            f = e.states[i].fidelity(e.states[j])
-            gram[i, j] = f
-            gram[j, i] = f
+    """Pairwise fidelity Gram matrix K[i][j] = |<psi_i|psi_j>|^2.
+
+    One product |A A^H|^2 over the stacked (N, 2^n) amplitudes; the upper
+    triangle is mirrored and the diagonal pinned to 1 so the matrix, and
+    every distance matrix derived from it, is exactly symmetric.
+    """
+    amps = np.stack([s.amplitudes for s in e.states])
+    upper = np.triu(np.abs(amps.conj() @ amps.T) ** 2, k=1)
+    gram = upper + upper.T
+    np.fill_diagonal(gram, 1.0)
     return gram
 
 
-def fidelity_distances(e: QuantumEnsemble) -> np.ndarray:
-    """Dissimilarity sqrt(1 - fidelity); zero diagonal, symmetric."""
-    d = np.sqrt(np.clip(1.0 - ensemble_gram(e), 0.0, None))
+def fidelity_distances(gram: np.ndarray) -> np.ndarray:
+    """Dissimilarity sqrt(1 - fidelity) from a fidelity Gram; zero diagonal, symmetric."""
+    d = np.sqrt(np.clip(1.0 - gram, 0.0, None))
     np.fill_diagonal(d, 0.0)
     return d

@@ -1,5 +1,9 @@
 """Report assembly, JSON schema, and the profiling pipelines behind the CLI.
 
+Each pipeline computes its metrics once into the report's MetricVector and
+reads the composites from it: profile_classical for the classical suite,
+profile_quantum for one embedding of the dataset and the quantum suite.
+
 Reports are deterministic under (inputs, config, seed): keys are sorted,
 floats serialize via repr, and wall-clock timings are kept out of the JSON
 unless explicitly requested (they are the one non-reproducible field).
@@ -11,8 +15,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import __version__
 from .classical import (
@@ -29,7 +31,7 @@ from .classical import (
 from .config import ConfigProfile, SeededRng
 from .dataset import Dataset, standardize
 from .errors import CapacityError, DataComplexityError, MissingMetric
-from .qmetrics import GradientStudy, schmidt_rank, gradient_variance_study
+from .qmetrics import GradientStudy, gradient_variance_study
 from .scoring import (
     CompositeScore,
     MetricVector,
@@ -37,10 +39,12 @@ from .scoring import (
     circuit_resource_estimate,
     clip01,
     embed_dataset,
+    expressibility_locality,
     induced_complexity,
     quantum_complexity,
+    quantum_metrics,
 )
-from .simulator import FeatureMap, required_qubits
+from .simulator import MAX_QUBITS, FeatureMap, required_qubits
 from .topology import (
     distance_matrix_from_points,
     persistence_diagram,
@@ -318,39 +322,30 @@ def profile_quantum(
     cfg: ConfigProfile,
     n_qubits: int | None = None,
 ) -> ComplexityReport:
-    """Embed every row and run the quantum metric suite plus both composites.
+    """Embed every row once and run the quantum metric suite plus both composites.
 
-    Rows are embedded raw (angle maps min-max scale internally); the report
-    records that choice.
+    One pass: quantum_metrics computes every ensemble metric once into the
+    report's MetricVector, M5 is added next to them, and the induced and
+    quantum composites are weighted reads of that vector, like the classical
+    composite. Rows are embedded raw (angle maps min-max scale internally);
+    the report records that choice.
     """
     timer = _Timer()
     required = required_qubits(fm_kind, ds.n_features)
     n = n_qubits if n_qubits is not None else required
-    if n < required:
+    if required > min(n, MAX_QUBITS):
         raise CapacityError(
             f"{fm_kind} encoding of {ds.n_features} features requires {required} qubits"
+            f" (at most {MAX_QUBITS} are simulated)"
         )
 
     fm = FeatureMap(kind=fm_kind, n_qubits=n)
     ensemble = timer.run("embed", lambda: embed_dataset(ds, fm))
-
-    mv = MetricVector()
-    half = list(range(max(1, n // 2))) if n >= 2 else None
-    if half:
-        ranks = [schmidt_rank(s, half) for s in ensemble.states]
-        mv.add("mean_schmidt_rank", float(np.mean(ranks)), (0.0, float(2 ** (n // 2))))
-
-    induced = timer.run(
-        "induced_complexity", lambda: induced_complexity(ds, fm, cfg.beta_weights, cfg)
-    )
-    quantum = timer.run(
-        "quantum_complexity", lambda: quantum_complexity(ensemble, cfg.alpha_weights, cfg)
-    )
-    for name, comp in induced.components.items():
-        mv.add(name, comp["raw"], tuple(comp["bounds"]))
-    for name, comp in quantum.components.items():
-        if name not in mv.entries:
-            mv.add(name, comp["raw"], tuple(comp["bounds"]))
+    mv = timer.run("quantum_metrics", lambda: quantum_metrics(ensemble, cfg))
+    m5 = timer.run("expressibility", lambda: expressibility_locality(fm, ds.n_features, cfg))
+    mv.add("m5_expressibility_locality", m5, (0.0, 1.0))
+    induced = induced_complexity(mv, cfg.beta_weights, fm_kind)
+    quantum = quantum_complexity(mv, cfg.alpha_weights)
 
     flags = [
         "embedding_input=raw",

@@ -4,6 +4,12 @@ Combines normalized metric components into the classical, quantum-native,
 and induced composites, and exposes the gradient-scaling model
 Var = exp(-alpha * n * d * (C + delta * C_topo)) plus its inverse fit.
 
+Every composite is a weighted read of named entries of one MetricVector.
+The quantum pipeline makes one pass: embed_dataset embeds the rows once,
+quantum_metrics builds the fidelity Gram, the fidelity distances and the
+Rips persistence once each and fills the entries that both the quantum and
+the induced composite read.
+
 Normalization is min-max against pinned theoretical bounds (entropy vs
 log2 N, interaction order vs its 1..4 range, ratios vs 1, entanglement
 entropies vs qubit counts) or against a benchmark collection; the mode and
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import effective_rank, gram_spectrum
-from .config import ConfigProfile
+from .config import ConfigProfile, SeededRng
 from .dataset import Dataset
 from .errors import (
     DegenerateCollection,
@@ -34,6 +40,7 @@ from .qmetrics import (
     ensemble_gram,
     expressibility_kl,
     fidelity_distances,
+    schmidt_rank,
     topological_entanglement_entropy,
     uniform_ensemble,
     von_neumann_entropy,
@@ -48,13 +55,28 @@ from .topology import (
     topological_complexity,
     total_persistence,
 )
-from .config import SeededRng
 
 CLASSICAL_COMPONENTS = (
     "distributional_entropy",
     "interaction_order",
     "compression_ratio",
     "topological_complexity",
+)
+QUANTUM_COMPONENTS = (
+    "mean_entanglement_entropy",
+    "multipartite_correlation",
+    "ensemble_rank_eff",
+    "magic_monotone",
+    "mean_qfi",
+    "quantum_topological_complexity",
+)
+INDUCED_COMPONENTS = (
+    "m1_support_dimension",
+    "m2_qfi_spread",
+    "m3_entanglement_entropy",
+    "m4_kernel_flatness",
+    "m5_expressibility_locality",
+    "m6_embedding_topology",
 )
 
 
@@ -139,21 +161,26 @@ class CompositeScore:
         )
 
 
-def classical_complexity(mv: MetricVector, lambda_weights) -> CompositeScore:
-    """Weighted sum of the four normalized classical components."""
-    weights = tuple(float(w) for w in lambda_weights)
-    if len(weights) != 4:
-        raise InvalidConfig("classical composite takes 4 weights")
+def _weighted_composite(kind: str, mv: MetricVector, names, weights, flags=()) -> CompositeScore:
+    """Weighted sum of the normalized entries `names` of one metric vector."""
+    weights = tuple(float(w) for w in weights)
+    if len(weights) != len(names):
+        raise InvalidConfig(f"{kind} composite takes {len(names)} weights")
     if any(w < 0 for w in weights):
         raise InvalidConfig("weights must be >= 0")
     components = {}
     value = 0.0
-    for name, w in zip(CLASSICAL_COMPONENTS, weights):
+    for name, w in zip(names, weights):
         norm = mv.normalized(name)
         e = mv.entries[name]
         components[name] = {"raw": e.raw, "normalized": norm, "bounds": list(e.bounds), "weight": w}
         value += w * norm
-    return CompositeScore(kind="classical", value=value, weights=weights, components=components)
+    return CompositeScore(kind=kind, value=value, weights=weights, components=components, flags=tuple(flags))
+
+
+def classical_complexity(mv: MetricVector, lambda_weights) -> CompositeScore:
+    """Weighted sum of the four normalized classical components."""
+    return _weighted_composite("classical", mv, CLASSICAL_COMPONENTS, lambda_weights)
 
 
 def normalize_complexity(scores) -> list[float]:
@@ -194,10 +221,6 @@ def mean_multipartite_correlation(e: QuantumEnsemble) -> float:
     return total
 
 
-def mean_collective_qfi(e: QuantumEnsemble) -> float:
-    return sum(p * collective_z_qfi(s) for p, s in zip(e.probabilities, e.states))
-
-
 def default_tripartition(n: int) -> tuple[list[int], list[int], list[int]]:
     """Contiguous thirds of the qubit register (as even as possible)."""
     a = list(range(0, math.ceil(n / 3)))
@@ -213,13 +236,15 @@ class QuantumTopologyDetail:
     euler_scale: float
     persistence_sum: float
     diagram: PersistenceDiagram
+    diameter: float
 
 
-def quantum_topology_detail(e: QuantumEnsemble, cfg: ConfigProfile) -> QuantumTopologyDetail:
+def quantum_topology_detail(e: QuantumEnsemble, gram: np.ndarray, cfg: ConfigProfile) -> QuantumTopologyDetail:
     """TEE, Euler characteristic, and persistence of the fidelity point cloud.
 
-    Distances are sqrt(1 - fidelity); the Euler characteristic is evaluated
-    at euler_scale_fraction of the filtration scale (pinned convention).
+    `gram` is the ensemble's fidelity Gram matrix; distances are
+    sqrt(1 - fidelity). The Euler characteristic is evaluated at
+    euler_scale_fraction of the filtration scale (pinned convention).
     """
     n = e.n_qubits
     if n >= 3:
@@ -231,7 +256,7 @@ def quantum_topology_detail(e: QuantumEnsemble, cfg: ConfigProfile) -> QuantumTo
     else:
         s_topo = 0.0
 
-    dm = DistanceMatrix(values=fidelity_distances(e))
+    dm = DistanceMatrix(values=fidelity_distances(gram))
     max_scale = cfg.rips_max_scale if cfg.rips_max_scale is not None else dm.diameter()
     filtration = rips_filtration(dm, max_scale=max_scale, max_dim=cfg.max_homology_dim, point_cap=cfg.rips_point_cap)
     diagram = persistence_diagram(filtration)
@@ -244,84 +269,61 @@ def quantum_topology_detail(e: QuantumEnsemble, cfg: ConfigProfile) -> QuantumTo
         euler_scale=euler_scale,
         persistence_sum=pers,
         diagram=diagram,
+        diameter=dm.diameter(),
     )
 
 
-def quantum_topological_complexity(e: QuantumEnsemble, gamma_weights, cfg: ConfigProfile) -> float:
-    """gamma1 * TEE + gamma2 * Euler + gamma3 * total persistence of the
-    ensemble's fidelity point cloud."""
-    g1, g2, g3 = (float(g) for g in gamma_weights)
-    if min(g1, g2, g3) < 0:
-        raise InvalidConfig("gamma weights must be >= 0")
-    detail = quantum_topology_detail(e, cfg)
-    return g1 * detail.s_topo + g2 * detail.euler + g3 * detail.persistence_sum
+def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile) -> MetricVector:
+    """The ensemble's metric vector: the mean Schmidt rank and every entry
+    the quantum and induced composites read, except M5.
+
+    The fidelity Gram, the topology detail, the bipartite entropy and the
+    per-state QFIs are computed once and shared by both composites. Each
+    entry is normalized against its pinned bound. M5 needs the encoding
+    circuit rather than the ensemble; see expressibility_locality.
+    """
+    n = e.n_qubits
+    size = e.size
+    gram = ensemble_gram(e)
+    rank = effective_rank(gram_spectrum(gram))
+    detail = quantum_topology_detail(e, gram, cfg)
+    entropy = mean_bipartite_entropy(e)
+    qfis = [collective_z_qfi(s) for s in e.states]
+    diameter = max(detail.diameter, 1e-12)
+    g1, g2, g3 = (float(g) for g in cfg.gamma_weights)
+
+    mv = MetricVector()
+    if n >= 2:
+        half = _half_split(n)
+        ranks = [schmidt_rank(s, half) for s in e.states]
+        mv.add("mean_schmidt_rank", float(np.mean(ranks)), (0.0, float(2 ** (n // 2))))
+    mv.add("mean_entanglement_entropy", entropy, (0.0, max(1, n // 2)))
+    mv.add("multipartite_correlation", mean_multipartite_correlation(e), (0.0, float(n)))
+    mv.add("ensemble_rank_eff", rank, (0.0, float(size)))
+    mv.add("magic_monotone", 0.0, (0.0, 1.0))
+    mv.add("mean_qfi", sum(p * q for p, q in zip(e.probabilities, qfis)), (0.0, float(n**2)))
+    ctopq = g1 * detail.s_topo + g2 * detail.euler + g3 * detail.persistence_sum
+    mv.add("quantum_topological_complexity", ctopq, (0.0, g1 * n + g2 * size + g3 * size * diameter))
+    mv.add("m1_support_dimension", rank, (0.0, float(size)))
+    mv.add("m2_qfi_spread", float(np.var(qfis)), (0.0, float(n**4) / 4.0))
+    mv.add("m3_entanglement_entropy", entropy, (0.0, max(1, n // 2)))
+    mv.add("m4_kernel_flatness", rank / size, (0.0, 1.0))
+    m6 = topological_complexity(detail.diagram, cfg.w_topology)
+    mv.add("m6_embedding_topology", m6, (0.0, max(sum(cfg.w_topology) * size * diameter, 1e-12)))
+    return mv
 
 
-def _ctopq_bound(e: QuantumEnsemble, gamma_weights, diameter: float) -> float:
-    g1, g2, g3 = (float(g) for g in gamma_weights)
-    return g1 * e.n_qubits + g2 * e.size + g3 * e.size * max(diameter, 1e-12)
-
-
-def quantum_complexity(
-    e: QuantumEnsemble,
-    alpha_weights,
-    cfg: ConfigProfile,
-    magic_value: float | None = None,
-) -> CompositeScore:
+def quantum_complexity(mv: MetricVector, alpha_weights) -> CompositeScore:
     """Six-term quantum-native composite over an ensemble of pure states.
 
     Terms: mean bipartite entanglement entropy, multipartite total
     correlation, effective rank of the fidelity Gram matrix, the magic
-    monotone (0 unless supplied by the caller), mean collective-phase QFI,
-    and the quantum topological complexity. Each term is normalized against
-    its pinned bound before weighting.
+    monotone (unsupported, always 0), mean collective-phase QFI, and the
+    quantum topological complexity gamma1 * TEE + gamma2 * Euler + gamma3 *
+    total persistence. Reads the entries of quantum_metrics.
     """
-    weights = tuple(float(w) for w in alpha_weights)
-    if len(weights) != 6:
-        raise InvalidConfig("quantum composite takes 6 weights")
-    if any(w < 0 for w in weights):
-        raise InvalidConfig("weights must be >= 0")
-
-    n = e.n_qubits
-    mv = MetricVector()
-    mv.add("mean_entanglement_entropy", mean_bipartite_entropy(e), (0.0, max(1, n // 2)))
-    mv.add("multipartite_correlation", mean_multipartite_correlation(e), (0.0, float(n)))
-    rank = effective_rank(gram_spectrum(ensemble_gram(e)))
-    mv.add("ensemble_rank_eff", rank, (0.0, float(e.size)))
-    mv.add("magic_monotone", magic_value if magic_value is not None else 0.0, (0.0, 1.0))
-    mv.add("mean_qfi", mean_collective_qfi(e), (0.0, float(n**2)))
-    detail = quantum_topology_detail(e, cfg)
-    ctopq = (
-        cfg.gamma_weights[0] * detail.s_topo
-        + cfg.gamma_weights[1] * detail.euler
-        + cfg.gamma_weights[2] * detail.persistence_sum
-    )
-    dm_diam = float(np.max(fidelity_distances(e))) if e.size > 1 else 0.0
-    mv.add("quantum_topological_complexity", ctopq, (0.0, _ctopq_bound(e, cfg.gamma_weights, dm_diam)))
-
-    order = (
-        "mean_entanglement_entropy",
-        "multipartite_correlation",
-        "ensemble_rank_eff",
-        "magic_monotone",
-        "mean_qfi",
-        "quantum_topological_complexity",
-    )
-    components = {}
-    value = 0.0
-    for name, w in zip(order, weights):
-        entry = mv.entries[name]
-        components[name] = {
-            "raw": entry.raw,
-            "normalized": entry.normalized,
-            "bounds": list(entry.bounds),
-            "weight": w,
-        }
-        value += w * entry.normalized
-    flags = ("qfi_generator=collective_z", "tee_convention=tripartite")
-    if magic_value is None:
-        flags = flags + ("magic_monotone=unsupported",)
-    return CompositeScore(kind="quantum", value=value, weights=weights, components=components, flags=flags)
+    flags = ("qfi_generator=collective_z", "tee_convention=tripartite", "magic_monotone=unsupported")
+    return _weighted_composite("quantum", mv, QUANTUM_COMPONENTS, alpha_weights, flags)
 
 
 def embed_dataset(ds: Dataset, fm: FeatureMap) -> QuantumEnsemble:
@@ -331,77 +333,27 @@ def embed_dataset(ds: Dataset, fm: FeatureMap) -> QuantumEnsemble:
     return uniform_ensemble(states)
 
 
-def induced_complexity(
-    ds: Dataset,
-    fm: FeatureMap,
-    beta_weights,
-    cfg: ConfigProfile,
-) -> CompositeScore:
+def expressibility_locality(fm: FeatureMap, n_features: int, cfg: ConfigProfile) -> float:
+    """M5, a decided proxy: exp(-KL) of the encoding circuit divided by its
+    mean gate support. Defined only for angle maps; basis and amplitude maps
+    give 0 and induced_complexity flags them."""
+    if fm.kind != "angle":
+        return 0.0
+    circuit = encoding_circuit(fm, n_features)
+    kl = expressibility_kl(circuit, cfg.expressibility_samples, cfg.bins_fidelity, SeededRng(cfg.seed))
+    support = float(np.mean([len(g.qubits) for g in circuit.gates]))
+    return math.exp(-kl) / support
+
+
+def induced_complexity(mv: MetricVector, beta_weights, fm_kind: str) -> CompositeScore:
     """Feature-map-induced composite M1..M6 on the embedded dataset.
 
-    M5 (expressibility vs locality) is a decided proxy: exp(-KL) of the
-    encoding circuit divided by its mean gate support, defined only for
-    angle maps; basis and amplitude maps report it as 0 and are flagged.
+    Reads M1..M4 and M6 from quantum_metrics and M5 from
+    expressibility_locality; `fm_kind` names the map, since M5 is only
+    defined for angle maps.
     """
-    weights = tuple(float(w) for w in beta_weights)
-    if len(weights) != 6:
-        raise InvalidConfig("induced composite takes 6 weights")
-    if any(w < 0 for w in weights):
-        raise InvalidConfig("weights must be >= 0")
-
-    ensemble = embed_dataset(ds, fm)
-    n = ensemble.n_qubits
-    n_states = ensemble.size
-    gram = ensemble_gram(ensemble)
-    rank = effective_rank(gram_spectrum(gram))
-    qfis = [collective_z_qfi(s) for s in ensemble.states]
-    detail = quantum_topology_detail(ensemble, cfg)
-    distances = fidelity_distances(ensemble)
-    diameter = float(distances.max()) if n_states > 1 else 0.0
-
-    flags = ["qfi_generator=collective_z"]
-    if fm.kind == "angle":
-        circuit = encoding_circuit(fm, ds.n_features)
-        kl = expressibility_kl(
-            circuit, cfg.expressibility_samples, cfg.bins_fidelity, SeededRng(cfg.seed)
-        )
-        support = float(np.mean([len(g.qubits) for g in circuit.gates]))
-        m5 = math.exp(-kl) / support
-        flags.append("m5=decided_proxy")
-    else:
-        m5 = 0.0
-        flags.append("m5=not_applicable")
-
-    mv = MetricVector()
-    mv.add("m1_support_dimension", rank, (0.0, float(n_states)))
-    mv.add("m2_qfi_spread", float(np.var(qfis)), (0.0, float(n**4) / 4.0))
-    mv.add("m3_entanglement_entropy", mean_bipartite_entropy(ensemble), (0.0, max(1, n // 2)))
-    mv.add("m4_kernel_flatness", rank / n_states, (0.0, 1.0))
-    mv.add("m5_expressibility_locality", m5, (0.0, 1.0))
-    w_sum = sum(cfg.w_topology)
-    m6 = topological_complexity(detail.diagram, cfg.w_topology)
-    mv.add("m6_embedding_topology", m6, (0.0, max(w_sum * n_states * max(diameter, 1e-12), 1e-12)))
-
-    order = (
-        "m1_support_dimension",
-        "m2_qfi_spread",
-        "m3_entanglement_entropy",
-        "m4_kernel_flatness",
-        "m5_expressibility_locality",
-        "m6_embedding_topology",
-    )
-    components = {}
-    value = 0.0
-    for name, w in zip(order, weights):
-        entry = mv.entries[name]
-        components[name] = {
-            "raw": entry.raw,
-            "normalized": entry.normalized,
-            "bounds": list(entry.bounds),
-            "weight": w,
-        }
-        value += w * entry.normalized
-    return CompositeScore(kind="induced", value=value, weights=weights, components=components, flags=tuple(flags))
+    m5 = "m5=decided_proxy" if fm_kind == "angle" else "m5=not_applicable"
+    return _weighted_composite("induced", mv, INDUCED_COMPONENTS, beta_weights, ("qfi_generator=collective_z", m5))
 
 
 def trainability_prediction(

@@ -100,11 +100,6 @@ class Filtration:
     max_scale: float
     max_dim: int
 
-    def all_simplices(self) -> list[tuple[tuple[int, ...], float]]:
-        merged = [s for group in self.by_dim for s in group]
-        merged.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
-        return merged
-
 
 def rips_filtration(
     dm: DistanceMatrix,

@@ -31,17 +31,17 @@ from datacomplexity.qmetrics import (
     uniform_ensemble,
     von_neumann_entropy,
 )
+from datacomplexity.report import profile_quantum
 from datacomplexity.scoring import (
     MetricVector,
     classical_complexity,
     fit_alpha,
-    induced_complexity,
     normalize_complexity,
     quantum_complexity,
+    quantum_metrics,
 )
 from datacomplexity.simulator import (
     DensityMatrix,
-    FeatureMap,
     Gate,
     ParameterizedCircuit,
     partial_trace,
@@ -234,10 +234,10 @@ def test_criterion_10_composite_algebra():
 
     cfg = ConfigProfile()
     ghz3 = build_state(3, [Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("CNOT", (1, 2))])
-    qscore = quantum_complexity(uniform_ensemble([ghz3, zero_state(3)]), (1 / 6,) * 6, cfg)
+    qscore = quantum_complexity(quantum_metrics(uniform_ensemble([ghz3, zero_state(3)]), cfg), (1 / 6,) * 6)
     assert 0.0 <= qscore.value <= 1.0
     ds = Dataset(np.eye(3), ("a", "b", "c"))
-    iscore = induced_complexity(ds, FeatureMap(kind="basis", n_qubits=3), (1 / 6,) * 6, cfg)
+    iscore = profile_quantum(ds, "basis", cfg).composites[0]
     assert 0.0 <= iscore.value <= 1.0
 
     def synthetic_study(alpha, depth, c_norm, noise=0.0, seed=0):

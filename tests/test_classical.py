@@ -363,7 +363,13 @@ def test_deff_monotone_and_bounded(evs, lam_a, lam_b):
 
 @pytest.mark.parametrize(
     "eigenvalues,expected",
-    [((1.0,) * 7, 7.0), ((1.0, 0.0, 0.0), 1.0), ((3.0, 1.0), 1.6)],
+    [
+        ((1.0,) * 7, 7.0),
+        ((1.0, 0.0, 0.0), 1.0),
+        ((3.0, 1.0), 1.6),
+        # sub-threshold eigenvalues count as zero, as in kernel_effective_dimension
+        ((1.0,) + (1e-11,) * 1000, 1.0),
+    ],
 )
 def test_effective_rank_closed_forms(eigenvalues, expected):
     assert effective_rank(Spectrum(np.array(eigenvalues), "kernel")) == pytest.approx(expected)

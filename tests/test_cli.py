@@ -130,6 +130,13 @@ def test_qprofile_amplitude_capacity_exit_3(tmp_path, capsys):
     assert "requires 3 qubits" in err
 
 
+def test_qprofile_angle_capacity_exit_3(capsys):
+    # 15 features need 15 qubits, one more than the simulator holds
+    code, _, err = run_cli(["qprofile", "synth:gaussian_blob:n=8,d=15", "--map", "angle"], capsys)
+    assert code == 3
+    assert "requires 15 qubits" in err
+
+
 def test_qprofile_phase_ring_m6_positive(capsys):
     code, out, _ = run_cli(["qprofile", "synth:phase_ring", "--map", "angle", "--seed", "3"], capsys)
     assert code == 0
@@ -165,6 +172,13 @@ def test_barren_sample_floor(capsys):
 def test_barren_qubit_cap(capsys):
     code, _, err = run_cli(["barren", "--n-max", "13", "--samples", "200"], capsys)
     assert code == 4
+
+
+@pytest.mark.parametrize("bad", [["--n-min", "5", "--n-max", "3"], ["--depth", "0"]])
+def test_barren_invalid_arguments_exit_4(bad, capsys):
+    code, _, err = run_cli(["barren", "--samples", "200", *bad], capsys)
+    assert code == 4
+    assert "invalid configuration" in err
 
 
 def test_barren_deterministic_csv(tmp_path, capsys):

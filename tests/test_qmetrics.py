@@ -321,6 +321,10 @@ def test_gradient_study_validation():
         gradient_variance_study([2, 13], 2, 500, "global", SeededRng(0))
     with pytest.raises(InvalidConfig):
         gradient_variance_study([2, 3], 2, 50, "global", SeededRng(0))
+    with pytest.raises(InvalidConfig):
+        gradient_variance_study(range(5, 5), 2, 200, "global", SeededRng(0))
+    with pytest.raises(InvalidConfig):
+        gradient_variance_study([2, 3], 0, 200, "global", SeededRng(0))
 
 
 def test_gradient_study_csv_layout():
@@ -417,7 +421,7 @@ def test_ensemble_gram_and_distances(bell_state, product_plus_state):
     gram = ensemble_gram(e)
     assert gram[0, 1] == pytest.approx(1.0)
     assert np.allclose(np.diag(gram), 1.0)
-    d = fidelity_distances(e)
+    d = fidelity_distances(gram)
     # sqrt amplifies the ~1e-16 fidelity rounding into ~1e-8
     assert d[0, 1] == pytest.approx(0.0, abs=1e-7)
     assert d[0, 2] == pytest.approx(math.sqrt(1 - gram[0, 2]))

@@ -1,8 +1,11 @@
 import json
+from collections import Counter
 
 import jsonschema
 import numpy as np
 
+from datacomplexity import qmetrics, scoring, topology
+from datacomplexity import report as report_module
 from datacomplexity.config import ConfigProfile, validate_config
 from datacomplexity.dataset import Dataset
 from datacomplexity.report import (
@@ -34,6 +37,33 @@ def test_qprofile_report_round_trip_lossless():
     report = profile_quantum(small_dataset(), "angle", CFG)
     text = report.to_json()
     assert ComplexityReport.from_json(text).to_json() == text
+
+
+def test_qprofile_computes_each_quantity_once(monkeypatch):
+    """One profile_quantum pass embeds once, builds one fidelity Gram and
+    runs Rips once; both composites read the shared results."""
+    counted = {
+        "embed_dataset": scoring.embed_dataset,
+        "ensemble_gram": qmetrics.ensemble_gram,
+        "quantum_topology_detail": scoring.quantum_topology_detail,
+        "rips_filtration": topology.rips_filtration,
+    }
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (qmetrics, report_module, scoring, topology):
+        for attr, value in list(vars(module).items()):
+            for name, fn in counted.items():
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting(name, fn))
+    profile_quantum(small_dataset(), "angle", CFG)
+    assert calls == {name: 1 for name in counted}
 
 
 def test_barren_report_round_trip_and_schema():

@@ -13,7 +13,8 @@ from datacomplexity.errors import (
     InvalidConfig,
     MissingMetric,
 )
-from datacomplexity.qmetrics import GradientStudy, uniform_ensemble
+from datacomplexity.qmetrics import GradientStudy, ensemble_gram, uniform_ensemble
+from datacomplexity.report import profile_quantum
 from datacomplexity.scoring import (
     MetricVector,
     circuit_resource_estimate,
@@ -22,11 +23,10 @@ from datacomplexity.scoring import (
     embed_dataset,
     fit_alpha,
     generalization_gap,
-    induced_complexity,
     mean_bipartite_entropy,
     normalize_complexity,
     quantum_complexity,
-    quantum_topological_complexity,
+    quantum_metrics,
     quantum_topology_detail,
     trainability_condition,
     trainability_prediction,
@@ -137,7 +137,7 @@ def test_normalize_max_exactly_one():
 
 def test_identical_product_ensemble(product_plus_state):
     e = uniform_ensemble([product_plus_state] * 3)
-    score = quantum_complexity(e, (1 / 6,) * 6, CFG)
+    score = quantum_complexity(quantum_metrics(e, CFG), (1 / 6,) * 6)
     comps = score.components
     assert comps["mean_entanglement_entropy"]["raw"] == pytest.approx(0.0, abs=1e-9)
     assert comps["multipartite_correlation"]["raw"] == pytest.approx(0.0, abs=1e-9)
@@ -154,13 +154,13 @@ def test_orthogonal_pair_rank_two():
     zero = zero_state(1)
     one = StateVector(n_qubits=1, amplitudes=np.array([0.0, 1.0], dtype=complex))
     e = uniform_ensemble([zero, one])
-    score = quantum_complexity(e, (1 / 6,) * 6, CFG)
+    score = quantum_complexity(quantum_metrics(e, CFG), (1 / 6,) * 6)
     assert score.components["ensemble_rank_eff"]["raw"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_quantum_composite_unit_interval(ghz3_state, bell_state):
     e = uniform_ensemble([ghz3_state] * 2)
-    score = quantum_complexity(e, (1 / 6,) * 6, CFG)
+    score = quantum_complexity(quantum_metrics(e, CFG), (1 / 6,) * 6)
     assert 0.0 <= score.value <= 1.0
     for comp in score.components.values():
         assert 0.0 <= comp["normalized"] <= 1.0
@@ -181,17 +181,20 @@ def phase_ring_ensemble(m=20):
 
 def test_zero_gamma_weights(product_plus_state):
     e = uniform_ensemble([product_plus_state] * 2)
-    assert quantum_topological_complexity(e, (0.0, 0.0, 0.0), CFG) == 0.0
+    cfg = ConfigProfile(gamma_weights=(0.0, 0.0, 0.0))
+    score = quantum_complexity(quantum_metrics(e, cfg), (1 / 6,) * 6)
+    assert score.components["quantum_topological_complexity"]["raw"] == 0.0
 
 
 def test_identical_states_zero_persistence(bell_state):
     e = uniform_ensemble([bell_state] * 4)
-    detail = quantum_topology_detail(e, CFG)
+    detail = quantum_topology_detail(e, ensemble_gram(e), CFG)
     assert detail.persistence_sum == pytest.approx(0.0, abs=1e-6)
 
 
 def test_phase_ring_has_loop():
-    detail = quantum_topology_detail(phase_ring_ensemble(), CFG)
+    e = phase_ring_ensemble()
+    detail = quantum_topology_detail(e, ensemble_gram(e), CFG)
     h1 = detail.diagram.bars(1)
     assert len(h1) >= 1
     assert sum(b.lifetime for b in h1) > 0.0
@@ -212,16 +215,21 @@ def one_hot_dataset(n):
     return Dataset(np.eye(n), tuple(f"c{j}" for j in range(n)))
 
 
+def induced_score(ds, kind):
+    """The induced composite of one profile_quantum pass (uniform weights)."""
+    return profile_quantum(ds, kind, CFG).composites[0]
+
+
 def test_basis_one_hot_product_states():
     ds = one_hot_dataset(3)
-    score = induced_complexity(ds, FeatureMap(kind="basis", n_qubits=3), (1 / 6,) * 6, CFG)
+    score = induced_score(ds, "basis")
     assert score.components["m3_entanglement_entropy"]["raw"] == pytest.approx(0.0, abs=1e-9)
     assert "m5=not_applicable" in score.flags
 
 
 def test_identical_rows_rank_one_no_topology():
     ds = Dataset(np.tile([[0.3, 0.7]], (5, 1)), ("a", "b"))
-    score = induced_complexity(ds, FeatureMap(kind="angle", n_qubits=2), (1 / 6,) * 6, CFG)
+    score = induced_score(ds, "angle")
     assert score.components["m1_support_dimension"]["raw"] == pytest.approx(1.0, abs=1e-6)
     assert score.components["m6_embedding_topology"]["raw"] == pytest.approx(0.0, abs=1e-6)
     assert "m5=decided_proxy" in score.flags
@@ -229,7 +237,7 @@ def test_identical_rows_rank_one_no_topology():
 
 def test_amplitude_orthonormal_rows_full_rank():
     ds = one_hot_dataset(4)
-    score = induced_complexity(ds, FeatureMap(kind="amplitude", n_qubits=2), (1 / 6,) * 6, CFG)
+    score = induced_score(ds, "amplitude")
     assert score.components["m1_support_dimension"]["raw"] == pytest.approx(4.0, abs=1e-9)
     assert score.components["m4_kernel_flatness"]["raw"] == pytest.approx(1.0, abs=1e-9)
 
@@ -237,7 +245,7 @@ def test_amplitude_orthonormal_rows_full_rank():
 def test_induced_value_unit_interval():
     rng = np.random.default_rng(3)
     ds = Dataset(rng.uniform(size=(12, 3)), ("a", "b", "c"))
-    score = induced_complexity(ds, FeatureMap(kind="angle", n_qubits=3), (1 / 6,) * 6, CFG)
+    score = induced_score(ds, "angle")
     assert 0.0 <= score.value <= 1.0
 
 
