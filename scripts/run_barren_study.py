@@ -4,7 +4,8 @@
 Samples the variance of the first parameter's gradient for the layered
 ansatz across qubit counts, fits the log-linear decay, and backs out the
 alpha of the variance model Var = exp(-alpha n d C). With the global cost
-the slope should sit near -ln 2.
+the slope should sit near -ln 2. Qubit counts may range over 1..14 (the
+simulator's MAX_QUBITS); every sample of a qubit count runs in one batch.
 
 Example:
     python scripts/run_barren_study.py --n-min 2 --n-max 8 --depth 4 \

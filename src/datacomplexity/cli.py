@@ -26,6 +26,7 @@ from .errors import (
     EmptyDataset,
     InvalidConfig,
     ParseError,
+    ZeroVector,
 )
 from .report import (
     REPORT_SCHEMA_V1,
@@ -191,7 +192,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"no such file: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ParseError, EmptyDataset) as exc:
+    except (ParseError, EmptyDataset, ZeroVector) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:

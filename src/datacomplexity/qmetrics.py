@@ -25,17 +25,22 @@ from .errors import (
     OrderTooHigh,
 )
 from .simulator import (
+    MAX_QUBITS,
+    ROTATION_GATES,
     DensityMatrix,
     ParameterizedCircuit,
     StateVector,
     expectation,
+    gate_layout,
     partial_trace,
     partial_trace_density,
+    pauli_expectations,
+    popcount_table,
     random_layered_circuit,
     resolve_angles,
-    run_circuit,
-    run_with_angles,
-    zero_state,
+    rotation_angles,
+    rotation_axes,
+    run_batch,
 )
 
 CORRELATOR_ORDER_CAP = 4
@@ -269,18 +274,24 @@ def sample_fidelities(c: ParameterizedCircuit, n_samples: int, rng: SeededRng) -
     """Fidelities of state pairs from uniform parameters in [0, 2*pi)^p.
 
     Sample i uses the child stream (i,) of `rng`, so results do not depend on
-    evaluation order.
+    evaluation order. All 2 * n_samples states run as one batch, sample i as
+    columns 2i (theta) and 2i + 1 (phi).
     """
-    out = np.empty(n_samples, dtype=np.float64)
+    params = np.zeros((n_samples, 2, c.n_params))
     for i in range(n_samples):
         gen = rng.child(i)
         if c.n_params:
-            theta, phi = gen.uniform(0.0, 2.0 * math.pi, size=(2, c.n_params))
-        else:
-            theta = phi = np.zeros(0)
-        s1 = run_circuit(c, theta)
-        s2 = run_circuit(c, phi)
-        out[i] = s1.fidelity(s2)
+            params[i] = gen.uniform(0.0, 2.0 * math.pi, size=(2, c.n_params))
+    params = params.reshape(2 * n_samples, c.n_params).T
+    rotations = [g for g in c.gates if g.name in ROTATION_GATES]
+    angles = np.empty((len(rotations), 2 * n_samples))
+    for r, g in enumerate(rotations):
+        angles[r] = params[g.param_slot] if g.param_slot is not None else g.angle
+    axes = np.repeat(rotation_axes(c)[:, None], 2 * n_samples, axis=1)
+    out = np.empty(n_samples, dtype=np.float64)
+    for cols, block in run_batch(c.n_qubits, gate_layout(c), axes, angles, group=2):
+        overlaps = np.einsum("ij,ij->j", block[:, 0::2].conj(), block[:, 1::2])
+        out[cols.start // 2 : cols.stop // 2] = np.abs(overlaps) ** 2
     return out
 
 
@@ -303,13 +314,38 @@ def expressibility_kl(c: ParameterizedCircuit, n_samples: int, bins: int, rng: S
     return float(np.sum(p * np.log(p / q)))
 
 
-def _rotation_occurrences(c: ParameterizedCircuit, k: int) -> list[int]:
+def _occurrence_rows(c: ParameterizedCircuit, k: int) -> list[int]:
+    """Rotation rows (order among the rotation gates) that read parameter k."""
     if k < 0 or k >= c.n_params:
         raise ArityError(f"parameter index {k} out of range (n_params={c.n_params})")
-    occ = [i for i, g in enumerate(c.gates) if g.param_slot == k]
-    if not occ:
+    rotations = [g for g in c.gates if g.name in ROTATION_GATES]
+    rows = [r for r, g in enumerate(rotations) if g.param_slot == k]
+    if not rows:
         raise ArityError(f"parameter {k} does not index a rotation gate")
-    return occ
+    return rows
+
+
+def _shift_gradients(n: int, layout, axes, angles, rows, cost_pauli: str, coeff: float) -> np.ndarray:
+    """Parameter-shift derivatives of B circuits of one layout.
+
+    `axes` and `angles` are (R, B). Each row in `rows` contributes
+    (C(+pi/2) - C(-pi/2)) / 2 with only that rotation shifted; all shifted
+    states of a circuit sit next to each other in one batch.
+    """
+    shifts = [(r, sign) for r in rows for sign in (1.0, -1.0)]
+    width = len(shifts)
+    axes = np.repeat(axes, width, axis=1)
+    angles = np.repeat(angles, width, axis=1)
+    for j, (r, sign) in enumerate(shifts):
+        angles[r, j::width] += sign * math.pi / 2.0
+    values = np.empty(axes.shape[1])
+    for cols, block in run_batch(n, layout, axes, angles, group=width):
+        values[cols] = coeff * pauli_expectations(block, cost_pauli)
+    values = values.reshape(-1, width)
+    total = np.zeros(values.shape[0])
+    for j, (_, sign) in enumerate(shifts):
+        total += 0.5 * sign * values[:, j]
+    return total
 
 
 def gradient(c: ParameterizedCircuit, theta, cost_pauli: str, k: int, coeff: float = 1.0) -> float:
@@ -318,20 +354,13 @@ def gradient(c: ParameterizedCircuit, theta, cost_pauli: str, k: int, coeff: flo
     Each occurrence of the slot contributes (C(+pi/2) - C(-pi/2)) / 2 with
     only that gate shifted; the single-occurrence case is the textbook rule.
     """
-    occurrences = _rotation_occurrences(c, k)
+    rows = _occurrence_rows(c, k)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if theta.size != c.n_params:
         raise ArityError(f"circuit takes {c.n_params} parameters, got {theta.size}")
-    base = resolve_angles(c, theta)
-    start = zero_state(c.n_qubits)
-    total = 0.0
-    for g in occurrences:
-        for sign in (1.0, -1.0):
-            shifted = list(base)
-            shifted[g] = shifted[g] + sign * math.pi / 2.0
-            value = expectation(run_with_angles(c, shifted, start), cost_pauli, coeff)
-            total += 0.5 * sign * value
-    return total
+    angles = rotation_angles(c, resolve_angles(c, theta))[:, None]
+    axes = rotation_axes(c)[:, None]
+    return float(_shift_gradients(c.n_qubits, gate_layout(c), axes, angles, rows, cost_pauli, coeff)[0])
 
 
 def pure_state_qfi(c: ParameterizedCircuit, theta, k: int) -> float:
@@ -339,17 +368,20 @@ def pure_state_qfi(c: ParameterizedCircuit, theta, k: int) -> float:
 
     The derivative state is exact for Pauli rotations: shifting one
     occurrence of the slot by pi gives twice its contribution to |dpsi>.
+    State and shifted states run as one batch.
     """
-    occurrences = _rotation_occurrences(c, k)
+    rows = _occurrence_rows(c, k)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    base = resolve_angles(c, theta)
-    start = zero_state(c.n_qubits)
-    psi = run_with_angles(c, base, start).amplitudes
+    base = rotation_angles(c, resolve_angles(c, theta))
+    angles = np.repeat(base[:, None], 1 + len(rows), axis=1)
+    for j, r in enumerate(rows, start=1):
+        angles[r, j] += math.pi
+    axes = np.repeat(rotation_axes(c)[:, None], 1 + len(rows), axis=1)
+    ((_, block),) = run_batch(c.n_qubits, gate_layout(c), axes, angles, group=1 + len(rows))
+    psi = block[:, 0]
     deriv = np.zeros_like(psi)
-    for g in occurrences:
-        shifted = list(base)
-        shifted[g] = shifted[g] + math.pi
-        deriv += 0.5 * run_with_angles(c, shifted, start).amplitudes
+    for j in range(1, 1 + len(rows)):
+        deriv += 0.5 * block[:, j]
     overlap = np.vdot(psi, deriv)
     qfi = 4.0 * (float(np.vdot(deriv, deriv).real) - abs(overlap) ** 2)
     return max(qfi, 0.0)
@@ -363,8 +395,7 @@ def collective_z_qfi(state: StateVector) -> float:
     """
     n = state.n_qubits
     # eigenvalue of J_z on basis state = (n - 2 * popcount) / 2
-    pop = np.array([bin(i).count("1") for i in range(2**n)], dtype=np.float64)
-    jz = 0.5 * (n - 2.0 * pop)
+    jz = 0.5 * (n - 2.0 * popcount_table(n))
     probs = np.abs(state.amplitudes) ** 2
     mean = float(np.sum(probs * jz))
     second = float(np.sum(probs * jz**2))
@@ -390,13 +421,15 @@ def gradient_variance_study(
 
     Per sample, a fresh random layered circuit and a uniform parameter vector
     are drawn from a child stream keyed by (n, sample); the fitted slope is
-    the least-squares slope of ln Var against n.
+    the least-squares slope of ln Var against n. Qubit counts lie in
+    1..MAX_QUBITS. The samples of one n keep only their rotation axes and
+    angles, and all their parameter-shift states run as one batch.
     """
     n_range = tuple(int(n) for n in n_range)
     if not n_range:
         raise InvalidConfig("need at least one qubit count")
-    if any(n < 1 or n > 12 for n in n_range):
-        raise InvalidConfig("qubit counts must lie in 1..12")
+    if any(n < 1 or n > MAX_QUBITS for n in n_range):
+        raise InvalidConfig(f"qubit counts must lie in 1..{MAX_QUBITS}")
     if depth < 1:
         raise InvalidConfig("depth must be >= 1")
     if n_samples < 200:
@@ -407,12 +440,16 @@ def gradient_variance_study(
     variances = []
     for n in n_range:
         cost = global_cost_pauli(n) if cost_kind == "global" else local_cost_pauli(n)
-        grads = np.empty(n_samples, dtype=np.float64)
+        axes, angles = [], []
         for i in range(n_samples):
             gen = rng.child(n, i)
             circuit = random_layered_circuit(n, depth, gen)
             theta = gen.uniform(0.0, 2.0 * math.pi, size=circuit.n_params)
-            grads[i] = gradient(circuit, theta, cost, 0)
+            axes.append(rotation_axes(circuit))
+            angles.append(rotation_angles(circuit, resolve_angles(circuit, theta)))
+        # every layered circuit of one (n, depth) has the same gate layout
+        layout, rows = gate_layout(circuit), _occurrence_rows(circuit, 0)
+        grads = _shift_gradients(n, layout, np.stack(axes, axis=1), np.stack(angles, axis=1), rows, cost, 1.0)
         variances.append(float(np.var(grads)))
 
     ns = np.asarray(n_range, dtype=np.float64)

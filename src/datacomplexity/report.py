@@ -261,10 +261,15 @@ def profile_classical(ds: Dataset, cfg: ConfigProfile, use_standardized: bool = 
     if ratio is not None:
         mv.add("compression_ratio", ratio, (0.0, 1.0))
 
+    def record(name: str, fn, bounds) -> None:
+        value = attempt(name, fn)
+        if value is not None:
+            mv.add(name, value, bounds)
+
     if work.n_samples >= 2:
         spectrum = attempt("covariance_spectrum", lambda: covariance_spectrum(work))
         if spectrum is not None:
-            mv.add("intrinsic_dimension", intrinsic_dimension(spectrum), (0.0, float(d)))
+            record("intrinsic_dimension", lambda: intrinsic_dimension(spectrum), (0.0, float(d)))
     else:
         flags.append("covariance=skipped_single_row")
 
@@ -274,8 +279,8 @@ def profile_classical(ds: Dataset, cfg: ConfigProfile, use_standardized: bool = 
 
     kspec = attempt("kernel_spectrum", _kernel)
     if kspec is not None:
-        mv.add("kernel_effective_dimension", kernel_effective_dimension(kspec, cfg.kernel_ridge), (0.0, float(n)))
-        mv.add("kernel_effective_rank", effective_rank(kspec), (0.0, float(n)))
+        record("kernel_effective_dimension", lambda: kernel_effective_dimension(kspec, cfg.kernel_ridge), (0.0, float(n)))
+        record("kernel_effective_rank", lambda: effective_rank(kspec), (0.0, float(n)))
 
     def _topo():
         dm = distance_matrix_from_points(work.matrix)

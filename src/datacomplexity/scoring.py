@@ -32,6 +32,7 @@ from .errors import (
     FitError,
     InvalidConfig,
     MissingMetric,
+    ZeroVector,
 )
 from .qmetrics import (
     GradientStudy,
@@ -329,7 +330,12 @@ def quantum_complexity(mv: MetricVector, alpha_weights) -> CompositeScore:
 def embed_dataset(ds: Dataset, fm: FeatureMap) -> QuantumEnsemble:
     """Encode every row and return the uniform ensemble of embedded states."""
     fitted = fit_feature_map(fm, ds.matrix) if fm.kind == "angle" else fm
-    states = [encode(fitted, row) for row in ds.matrix]
+    states = []
+    for i, row in enumerate(ds.matrix):
+        try:
+            states.append(encode(fitted, row))
+        except ZeroVector as exc:
+            raise ZeroVector(f"row {i}: {exc}") from exc
     return uniform_ensemble(states)
 
 

@@ -1,11 +1,13 @@
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
 from datacomplexity.cli import main
 from datacomplexity.report import REPORT_SCHEMA_V1
+from datacomplexity.simulator import MAX_QUBITS
 from datacomplexity.synthetic import SyntheticSpec, generate, parse_synth_uri
 
 
@@ -70,8 +72,6 @@ def test_profile_missing_file(capsys):
 
 
 def test_profile_validates_against_schema(capsys):
-    import jsonschema
-
     code, out, _ = run_cli(["profile", "synth:gaussian_blob:n=40,d=3", "--seed", "2"], capsys)
     assert code == 0
     jsonschema.validate(json.loads(out), REPORT_SCHEMA_V1)
@@ -107,6 +107,20 @@ def test_profile_partial_report_on_metric_failure(tmp_path, capsys):
     assert "distributional_entropy" in report["metrics"]
 
 
+def test_profile_all_constant_csv_partial_report(tmp_path, capsys):
+    # every covariance eigenvalue is zero: intrinsic dimension becomes an
+    # error flag and the other metrics still make a report, exit 1
+    path = tmp_path / "constant.csv"
+    path.write_text("1,2\n1,2\n1,2\n")
+    code, out, _ = run_cli(["profile", str(path)], capsys)
+    assert code == 1
+    report = json.loads(out)
+    jsonschema.validate(report, REPORT_SCHEMA_V1)
+    assert "error:intrinsic_dimension=all eigenvalues are zero" in report["flags"]
+    assert "intrinsic_dimension" not in report["metrics"]
+    assert "kernel_effective_rank" in report["metrics"]
+
+
 # ---------------------------------------------------------------------------
 # qprofile
 
@@ -128,6 +142,15 @@ def test_qprofile_amplitude_capacity_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "requires 3 qubits" in err
+
+
+def test_qprofile_amplitude_zero_row_exit_2(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    path.write_text("1,2\n0,0\n")
+    code, out, err = run_cli(["qprofile", str(path), "--map", "amplitude"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "input error: row 1:" in err
 
 
 def test_qprofile_angle_capacity_exit_3(capsys):
@@ -170,7 +193,7 @@ def test_barren_sample_floor(capsys):
 
 
 def test_barren_qubit_cap(capsys):
-    code, _, err = run_cli(["barren", "--n-max", "13", "--samples", "200"], capsys)
+    code, _, err = run_cli(["barren", "--n-max", str(MAX_QUBITS + 1), "--samples", "200"], capsys)
     assert code == 4
 
 

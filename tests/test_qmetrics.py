@@ -35,6 +35,7 @@ from datacomplexity.qmetrics import (
     von_neumann_entropy,
 )
 from datacomplexity.simulator import (
+    MAX_QUBITS,
     DensityMatrix,
     Gate,
     ParameterizedCircuit,
@@ -316,15 +317,38 @@ def test_gradient_study_scaling():
     assert len(study.variances) == 5
 
 
+@pytest.mark.parametrize("cost_kind", ["global", "local"])
+def test_gradient_study_matches_per_circuit_gradients(cost_kind):
+    # the batched study against the public per-circuit gradient over the
+    # same child(n, i) streams
+    rng = SeededRng(8)
+    study = gradient_variance_study(range(1, 7), 2, 200, cost_kind, rng)
+    for n, variance in zip(study.n_range, study.variances):
+        cost = "Z" * n if cost_kind == "global" else "Z" + "I" * (n - 1)
+        grads = []
+        for i in range(200):
+            gen = rng.child(n, i)
+            circuit = random_layered_circuit(n, 2, gen)
+            theta = gen.uniform(0.0, 2.0 * math.pi, size=circuit.n_params)
+            grads.append(gradient(circuit, theta, cost, 0))
+        assert variance == pytest.approx(float(np.var(grads)), rel=1e-12)
+
+
 def test_gradient_study_validation():
     with pytest.raises(InvalidConfig):
-        gradient_variance_study([2, 13], 2, 500, "global", SeededRng(0))
+        gradient_variance_study([2, MAX_QUBITS + 1], 2, 500, "global", SeededRng(0))
     with pytest.raises(InvalidConfig):
         gradient_variance_study([2, 3], 2, 50, "global", SeededRng(0))
     with pytest.raises(InvalidConfig):
         gradient_variance_study(range(5, 5), 2, 200, "global", SeededRng(0))
     with pytest.raises(InvalidConfig):
         gradient_variance_study([2, 3], 0, 200, "global", SeededRng(0))
+
+
+def test_gradient_study_accepts_max_qubits():
+    study = gradient_variance_study((MAX_QUBITS,), 1, 200, "global", SeededRng(0))
+    assert study.n_range == (MAX_QUBITS,)
+    assert 0.0 < study.variances[0] < 1.0
 
 
 def test_gradient_study_csv_layout():

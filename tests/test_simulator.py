@@ -13,9 +13,11 @@ from datacomplexity.errors import (
     ParseError,
     ZeroVector,
 )
+from datacomplexity import simulator
 from datacomplexity.simulator import (
     FIXED_GATES,
     PAULI_MATRICES,
+    ROTATION_GATES,
     FeatureMap,
     Gate,
     ParameterizedCircuit,
@@ -24,11 +26,15 @@ from datacomplexity.simulator import (
     encoding_circuit,
     expectation,
     fit_feature_map,
+    gate_layout,
     partial_trace,
     partial_trace_density,
+    pauli_expectations,
     random_layered_circuit,
     required_qubits,
+    rotation_axes,
     rotation_matrix,
+    run_batch,
     run_circuit,
     zero_state,
 )
@@ -138,6 +144,85 @@ def test_expectations_match_dense_oracle(seed):
     for pauli in paulis:
         dense = np.vdot(state.amplitudes, full_pauli(pauli) @ state.amplitudes).real
         assert expectation(state, pauli) == pytest.approx(dense, abs=1e-10)
+
+
+def random_gate_circuit(rng, n, n_gates=24):
+    """Random gate list over every gate kind: fixed gates, rotations with a
+    parameter slot or a fixed angle, and CNOT/CZ on any ordered qubit pair
+    (non-adjacent and reversed included)."""
+    gates, slot = [], 0
+    for _ in range(n_gates):
+        kind = rng.choice(["fixed", "slot", "angle", "pair"] if n > 1 else ["fixed", "slot", "angle"])
+        if kind == "fixed":
+            gates.append(Gate(str(rng.choice(list(FIXED_GATES))), (int(rng.integers(n)),)))
+        elif kind == "pair":
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            gates.append(Gate(str(rng.choice(["CNOT", "CZ"])), (a, b)))
+        elif kind == "slot":
+            gates.append(Gate(str(rng.choice(["RX", "RY", "RZ"])), (int(rng.integers(n)),), param_slot=slot))
+            slot += 1
+        else:
+            angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+            gates.append(Gate(str(rng.choice(["RX", "RY", "RZ"])), (int(rng.integers(n)),), angle=angle))
+    return ParameterizedCircuit(n, tuple(gates), slot)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_engine_single_column_matches_dense_oracle(n):
+    rng = SeededRng(200 + n).generator()
+    for _ in range(4):
+        circuit = random_gate_circuit(rng, n)
+        theta = rng.uniform(0, 2 * math.pi, circuit.n_params)
+        dense = circuit_unitary(circuit, theta) @ zero_state(n).amplitudes
+        assert np.max(np.abs(run_circuit(circuit, theta).amplitudes - dense)) <= 1e-12
+
+
+def column_circuit(circuit, axes, angles):
+    """One batch column as its own circuit: rotation r turns into axis
+    axes[r] at the fixed angle angles[r]."""
+    rows = iter(zip(axes, angles))
+    gates = []
+    for g in circuit.gates:
+        if g.name in ROTATION_GATES:
+            axis, angle = next(rows)
+            g = Gate(ROTATION_GATES[axis], g.qubits, angle=float(angle))
+        gates.append(g)
+    return ParameterizedCircuit(circuit.n_qubits, tuple(gates), 0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_engine_batch_matches_dense_oracle(n, monkeypatch):
+    # chunks of 3 columns (2 in pairs), so the batch spans several chunks
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", 3 * 32 * 2**n)
+    rng = SeededRng(300 + n).generator()
+    circuit = random_gate_circuit(rng, n)
+    n_rotations = sum(g.name in ROTATION_GATES for g in circuit.gates)
+    axes = rng.integers(0, 3, size=(n_rotations, 8)).astype(np.int8)
+    angles = rng.uniform(-2 * math.pi, 2 * math.pi, size=axes.shape)
+    start = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    start /= np.linalg.norm(start)
+    paulis = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(3)] + ["Z" * n]
+    for group, init in ((1, None), (2, start)):
+        initial = zero_state(n).amplitudes if init is None else init
+        seen = []
+        for cols, block in run_batch(n, gate_layout(circuit), axes, angles, start=init, group=group):
+            assert (cols.stop - cols.start) % group == 0
+            values = {p: pauli_expectations(block, p) for p in paulis}
+            for k, j in enumerate(range(cols.start, cols.stop)):
+                dense = circuit_unitary(column_circuit(circuit, axes[:, j], angles[:, j]), []) @ initial
+                assert np.max(np.abs(block[:, k] - dense)) <= 1e-12
+                for p in paulis:
+                    assert abs(values[p][k] - np.vdot(dense, full_pauli(p) @ dense).real) <= 1e-12
+                seen.append(j)
+        assert seen == list(range(8))
+
+
+def test_engine_rejects_bad_norm():
+    circuit = random_layered_circuit(3, 2, SeededRng(4).generator())
+    axes = np.repeat(rotation_axes(circuit)[:, None], 4, axis=1)
+    angles = np.zeros(axes.shape)
+    with pytest.raises(InvalidState):
+        list(run_batch(3, gate_layout(circuit), axes, angles, start=1.5 * zero_state(3).amplitudes))
 
 
 def test_norm_preserved_through_deep_circuit():
