@@ -118,9 +118,8 @@ def _report_csv(obj: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_profile(args) -> int:
-    cfg, ds = _load_inputs(args)
-    report = profile_classical(ds, cfg, use_standardized=not args.no_standardize)
+def _emit_report(report, args) -> int:
+    """Write a profile report; a partial report (an error: flag) exits 1."""
     obj = report.to_json_obj()
     text = _report_csv(obj) if args.format == "csv" else json.dumps(obj, sort_keys=True, indent=2) + "\n"
     _emit(text, args.output)
@@ -128,13 +127,14 @@ def _cmd_profile(args) -> int:
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
+def _cmd_profile(args) -> int:
+    cfg, ds = _load_inputs(args)
+    return _emit_report(profile_classical(ds, cfg, use_standardized=not args.no_standardize), args)
+
+
 def _cmd_qprofile(args) -> int:
     cfg, ds = _load_inputs(args)
-    report = profile_quantum(ds, args.map, cfg, n_qubits=args.qubits)
-    obj = report.to_json_obj()
-    text = _report_csv(obj) if args.format == "csv" else json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    _emit(text, args.output)
-    return EXIT_OK
+    return _emit_report(profile_quantum(ds, args.map, cfg, n_qubits=args.qubits), args)
 
 
 def _cmd_barren(args) -> int:

@@ -333,7 +333,9 @@ def profile_quantum(
     report's MetricVector, M5 is added next to them, and the induced and
     quantum composites are weighted reads of that vector, like the classical
     composite. Rows are embedded raw (angle maps min-max scale internally);
-    the report records that choice.
+    the report records that choice. As in profile_classical, a failing
+    topology detail and each composite it leaves incomplete become
+    "error:<name>=..." flags of a partial report.
     """
     timer = _Timer()
     required = required_qubits(fm_kind, ds.n_features)
@@ -345,26 +347,33 @@ def profile_quantum(
         )
 
     fm = FeatureMap(kind=fm_kind, n_qubits=n)
+    flags = ["embedding_input=raw", f"feature_map={fm_kind}", "infinite_bars=capped_at_max_scale"]
     ensemble = timer.run("embed", lambda: embed_dataset(ds, fm))
-    mv = timer.run("quantum_metrics", lambda: quantum_metrics(ensemble, cfg))
+    mv = timer.run("quantum_metrics", lambda: quantum_metrics(ensemble, cfg, flags))
     m5 = timer.run("expressibility", lambda: expressibility_locality(fm, ds.n_features, cfg))
     mv.add("m5_expressibility_locality", m5, (0.0, 1.0))
-    induced = induced_complexity(mv, cfg.beta_weights, fm_kind)
-    quantum = quantum_complexity(mv, cfg.alpha_weights)
 
-    flags = [
-        "embedding_input=raw",
-        f"feature_map={fm_kind}",
-        "infinite_bars=capped_at_max_scale",
-    ]
-    qubits, depth = circuit_resource_estimate(clip01(induced.value), cfg)
+    composites = []
+    resource = None
+    try:
+        induced = induced_complexity(mv, cfg.beta_weights, fm_kind)
+        composites.append(induced)
+        qubits, depth = circuit_resource_estimate(clip01(induced.value), cfg)
+        resource = {"qubits": qubits, "depth": depth}
+    except MissingMetric as exc:
+        flags.append(f"error:induced_complexity={exc}")
+    try:
+        composites.append(quantum_complexity(mv, cfg.alpha_weights))
+    except MissingMetric as exc:
+        flags.append(f"error:quantum_complexity={exc}")
+
     return ComplexityReport(
         config_hash=config_hash_hex(cfg),
         seed=cfg.seed,
         dataset=ds.describe(),
         metrics=mv,
-        composites=[induced, quantum],
-        resource_estimate={"qubits": qubits, "depth": depth},
+        composites=composites,
+        resource_estimate=resource,
         flags=flags,
         timings_ms=timer.timings,
     )

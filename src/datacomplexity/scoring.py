@@ -28,6 +28,7 @@ from .classical import effective_rank, gram_spectrum
 from .config import ConfigProfile, SeededRng
 from .dataset import Dataset
 from .errors import (
+    DataComplexityError,
     DegenerateCollection,
     FitError,
     InvalidConfig,
@@ -274,7 +275,7 @@ def quantum_topology_detail(e: QuantumEnsemble, gram: np.ndarray, cfg: ConfigPro
     )
 
 
-def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile) -> MetricVector:
+def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, flags: list[str] | None = None) -> MetricVector:
     """The ensemble's metric vector: the mean Schmidt rank and every entry
     the quantum and induced composites read, except M5.
 
@@ -282,16 +283,24 @@ def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile) -> MetricVector:
     per-state QFIs are computed once and shared by both composites. Each
     entry is normalized against its pinned bound. M5 needs the encoding
     circuit rather than the ensemble; see expressibility_locality.
+
+    A failing topology detail (say, more states than rips_point_cap) raises,
+    or, when `flags` is a list, is recorded there as
+    "error:quantum_topology=..." and its two entries are left out.
     """
     n = e.n_qubits
     size = e.size
     gram = ensemble_gram(e)
     rank = effective_rank(gram_spectrum(gram))
-    detail = quantum_topology_detail(e, gram, cfg)
+    try:
+        detail = quantum_topology_detail(e, gram, cfg)
+    except DataComplexityError as exc:
+        if flags is None:
+            raise
+        flags.append(f"error:quantum_topology={exc}")
+        detail = None
     entropy = mean_bipartite_entropy(e)
     qfis = [collective_z_qfi(s) for s in e.states]
-    diameter = max(detail.diameter, 1e-12)
-    g1, g2, g3 = (float(g) for g in cfg.gamma_weights)
 
     mv = MetricVector()
     if n >= 2:
@@ -303,14 +312,17 @@ def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile) -> MetricVector:
     mv.add("ensemble_rank_eff", rank, (0.0, float(size)))
     mv.add("magic_monotone", 0.0, (0.0, 1.0))
     mv.add("mean_qfi", sum(p * q for p, q in zip(e.probabilities, qfis)), (0.0, float(n**2)))
-    ctopq = g1 * detail.s_topo + g2 * detail.euler + g3 * detail.persistence_sum
-    mv.add("quantum_topological_complexity", ctopq, (0.0, g1 * n + g2 * size + g3 * size * diameter))
     mv.add("m1_support_dimension", rank, (0.0, float(size)))
     mv.add("m2_qfi_spread", float(np.var(qfis)), (0.0, float(n**4) / 4.0))
     mv.add("m3_entanglement_entropy", entropy, (0.0, max(1, n // 2)))
     mv.add("m4_kernel_flatness", rank / size, (0.0, 1.0))
-    m6 = topological_complexity(detail.diagram, cfg.w_topology)
-    mv.add("m6_embedding_topology", m6, (0.0, max(sum(cfg.w_topology) * size * diameter, 1e-12)))
+    if detail is not None:
+        diameter = max(detail.diameter, 1e-12)
+        g1, g2, g3 = (float(g) for g in cfg.gamma_weights)
+        ctopq = g1 * detail.s_topo + g2 * detail.euler + g3 * detail.persistence_sum
+        mv.add("quantum_topological_complexity", ctopq, (0.0, g1 * n + g2 * size + g3 * size * diameter))
+        m6 = topological_complexity(detail.diagram, cfg.w_topology)
+        mv.add("m6_embedding_topology", m6, (0.0, max(sum(cfg.w_topology) * size * diameter, 1e-12)))
     return mv
 
 

@@ -1,22 +1,42 @@
 """Vietoris-Rips persistent homology over the two-element field.
 
-The filtration enters a simplex at the largest pairwise distance among its
-vertices; ties are broken by dimension and then lexicographic vertex order so
-diagrams are reproducible. Reduction runs per boundary-matrix block (the
-standard algorithm restricted to one dimension at a time) with columns stored
-as integer bitmasks.
+An implicit engine after Ripser (Bauer 2021): only vertices and edges are
+listed, triangles and tetrahedra are integer keys computed when needed.
+
+Filtration. A simplex enters at the largest pairwise distance among its
+vertices. Edges are kept up to min(max_scale, enclosing radius), where the
+enclosing radius is min_i max_j d_ij, and sorted by (value, i, j); an edge's
+place in that order is its rank, and an n x n matrix holds the ranks (-1 where
+there is no edge). A p-simplex with p >= 2 is keyed by one integer,
+key(largest facet) * n + opposite vertex: the rank of its longest edge, then
+its other vertices in decreasing order, base n. Key order refines the value
+order, so it is a valid tie-break.
+
+Persistence. H0 is union-find over the sorted edges (Kruskal). H1, and H2
+when max_dim = 2, are persistent cohomology (de Silva, Morozov and
+Vejdemo-Johansson 2011), columns in decreasing key order with the pivot at
+the smallest coface:
+  - clearing: columns that are pivots of the dimension below are skipped
+    (for H1 these are the spanning-forest edges);
+  - apparent pairs: a column whose smallest coface has that column as its
+    largest facet is paired without reduction;
+  - coboundaries are built on the fly from the rank matrix; columns that
+    need reduction are sorted int64 key arrays added with np.setxor1d.
 
 Conventions pinned here:
   - infinite bars are stored with death = max_scale and an `infinite` flag;
     persistence sums cap them at max_scale.
-  - zero-length pairs (birth == death) are dropped from diagrams.
+  - zero-length pairs (birth == death) are dropped from diagrams; then any
+    tie-break between equal values gives the same diagram.
+  - truncating at the enclosing radius is exact: from there on the complex
+    is a cone, so every finite bar has died and one H0 class lives on.
   - distance matrices only need symmetry and a zero diagonal; the triangle
     inequality is not required (fidelity dissimilarities may violate it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,13 +112,26 @@ class PersistenceDiagram:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Filtration:
-    """Sorted simplex list; `by_dim[p]` holds (vertex tuple, value) pairs."""
+    """Vertices and edges of a Rips filtration; higher simplices stay implicit.
+
+    `by_dim[p]` holds (vertex tuple, value) pairs for p = 0 and 1. `edges`
+    (m, 2) and `values` (m,) hold the same edges in rank order, and
+    `rank[i, j]` is the rank of edge ij, or -1 where there is no edge.
+    """
 
     by_dim: tuple[tuple[tuple[tuple[int, ...], float], ...], ...]
     max_scale: float
     max_dim: int
+    edges: np.ndarray
+    values: np.ndarray
+    rank: np.ndarray
+
+
+def enclosing_radius(dm: DistanceMatrix) -> float:
+    """min_i max_j d_ij: from this scale on the Rips complex is a cone."""
+    return float(dm.values.max(axis=1).min()) if dm.n else 0.0
 
 
 def rips_filtration(
@@ -107,116 +140,205 @@ def rips_filtration(
     max_dim: int = 1,
     point_cap: int = DEFAULT_POINT_CAP,
 ) -> Filtration:
-    """Build the Rips filtration up to (max_dim + 1)-simplices.
+    """Vertices and the edges up to min(max_scale, enclosing radius).
 
-    Simplices of dimension max_dim + 1 are needed so that H_{max_dim} deaths
-    are complete. Simplex value = max pairwise distance of its vertices.
+    Edges are sorted by (value, i, j); triangles and tetrahedra are never
+    listed, persistence_diagram builds their keys from the rank matrix.
     """
     if max_dim not in (0, 1, 2):
         raise InvalidConfig("max_dim must be 0, 1 or 2")
     n = dm.n
     if n > point_cap:
         raise TooManyPoints(f"{n} points exceeds the cap {point_cap}")
-    d = dm.values
     if max_scale is None:
         max_scale = dm.diameter()
     if max_scale < 0:
         raise InvalidConfig("max_scale must be >= 0")
 
-    vertices = tuple(((i,), 0.0) for i in range(n))
-    adj = (d <= max_scale) & ~np.eye(n, dtype=bool)
+    iu, ju = np.triu_indices(n, k=1)
+    values = dm.values[iu, ju]
+    keep = np.flatnonzero(values <= min(max_scale, enclosing_radius(dm)))
+    keep = keep[np.argsort(values[keep], kind="stable")]
+    edges = np.stack([iu[keep], ju[keep]], axis=1)
+    values = values[keep]
+    rank = np.full((n, n), -1, dtype=np.int64)
+    rank[edges[:, 0], edges[:, 1]] = rank[edges[:, 1], edges[:, 0]] = np.arange(len(keep))
 
-    edges = []
-    iu, ju = np.nonzero(np.triu(adj, k=1))
-    for i, j in zip(iu.tolist(), ju.tolist()):
-        edges.append(((i, j), float(d[i, j])))
-    edges.sort(key=lambda sv: (sv[1], sv[0]))
-
-    groups = [vertices, tuple(edges)]
-
-    if max_dim >= 1:
-        triangles = []
-        for (i, j), val in edges:
-            common = np.nonzero(adj[i] & adj[j])[0]
-            for k in common[common > j].tolist():
-                tval = max(val, float(d[i, k]), float(d[j, k]))
-                triangles.append(((i, j, k), tval))
-        triangles.sort(key=lambda sv: (sv[1], sv[0]))
-        groups.append(tuple(triangles))
-
-    if max_dim == 2:
-        tets = []
-        for (i, j, k), val in groups[2]:
-            common = np.nonzero(adj[i] & adj[j] & adj[k])[0]
-            for l in common[common > k].tolist():
-                tval = max(val, float(d[i, l]), float(d[j, l]), float(d[k, l]))
-                tets.append(((i, j, k, l), tval))
-        tets.sort(key=lambda sv: (sv[1], sv[0]))
-        groups.append(tuple(tets))
-
-    return Filtration(by_dim=tuple(groups), max_scale=float(max_scale), max_dim=max_dim)
+    by_dim = (
+        tuple(((i,), 0.0) for i in range(n)),
+        tuple(zip(map(tuple, edges.tolist()), values.tolist())),
+    )
+    return Filtration(
+        by_dim=by_dim,
+        max_scale=float(max_scale),
+        max_dim=max_dim,
+        edges=edges,
+        values=values,
+        rank=rank,
+    )
 
 
-def _reduce_block(
-    faces: tuple[tuple[tuple[int, ...], float], ...],
-    cofaces: tuple[tuple[tuple[int, ...], float], ...],
-) -> tuple[list[tuple[int, int]], list[int], set[int]]:
-    """Reduce one boundary block: columns = cofaces, rows = faces.
+# Entries of one (columns, n) block in the vectorized coface scan.
+_BLOCK_ENTRIES = 1 << 18
 
-    Returns (pairs of (face row, coface col)), creator coface columns, and
-    the set of killed face rows.
+
+def _decode(f: Filtration, keys: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Longest-edge rank and vertices of p-simplices given by key.
+
+    A key is the longest edge's rank followed by the other vertices in
+    decreasing order, base n. Vertices come back as (p + 1, len(keys)):
+    the longest edge's two endpoints, then the others, smallest last.
     """
-    face_index = {s: i for i, (s, _) in enumerate(faces)}
-    pairs: list[tuple[int, int]] = []
-    creators: list[int] = []
-    pivot_owner: dict[int, int] = {}
-    columns: dict[int, int] = {}
+    n = f.rank.shape[0]
+    rest = []
+    for _ in range(p - 1):
+        keys, v = np.divmod(keys, n)
+        rest.append(v)
+    return keys, np.vstack([f.edges[keys].T] + rest[::-1])
 
-    for j, (simplex, _) in enumerate(cofaces):
-        col = 0
-        for omit in range(len(simplex)):
-            face = simplex[:omit] + simplex[omit + 1 :]
-            col ^= 1 << face_index[face]
-        while col:
-            low = col.bit_length() - 1
-            owner = pivot_owner.get(low)
-            if owner is None:
-                pivot_owner[low] = j
-                columns[j] = col
-                pairs.append((low, j))
-                break
-            col ^= columns[owner]
+
+def _lead_cofaces(f: Filtration, keys: np.ndarray, p: int):
+    """Yield blocks (keys, ok) over the p-simplices given by key.
+
+    ok[a, k] is true where adding vertex k to simplex keys[a] gives a coface
+    whose largest facet is keys[a]; that coface's key is keys[a] * n + k,
+    and every other coface of keys[a] has a larger key.
+    """
+    n = f.rank.shape[0]
+    rank = f.rank.view(np.uint64)  # -1 (no edge) compares above every rank
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    for lo in range(0, len(keys), step):
+        block = keys[lo : lo + step]
+        longest, verts = _decode(f, block, p)
+        bound = longest.astype(np.uint64)[:, None]
+        ok = rank[verts[0]] < bound
+        for v in verts[1:]:
+            ok &= rank[v] < bound
+        if p > 1:
+            ok &= np.arange(n) < verts[-1][:, None]
+        yield block, ok
+
+
+def _simplices(f: Filtration, p: int) -> np.ndarray:
+    """Keys of every p-simplex (p = 1 or 2), ascending."""
+    edges = np.arange(len(f.values), dtype=np.int64)
+    if p == 1:
+        return edges
+    n = f.rank.shape[0]
+    parts = [np.empty(0, dtype=np.int64)]
+    for block, ok in _lead_cofaces(f, edges, 1):
+        rows, k = np.nonzero(ok)
+        parts.append(block[rows] * n + k)
+    return np.concatenate(parts)
+
+
+def _apparent_cofaces(f: Filtration, keys: np.ndarray, p: int) -> np.ndarray:
+    """Per p-simplex, its smallest coface if that coface has it as largest
+    facet (an apparent pair, always of zero length), else -1."""
+    n = f.rank.shape[0]
+    parts = [np.empty(0, dtype=np.int64)]
+    for block, ok in _lead_cofaces(f, keys, p):
+        parts.append(np.where(ok.any(axis=1), block * n + ok.argmax(axis=1), -1))
+    return np.concatenate(parts)
+
+
+def _coboundary(f: Filtration, key: int, p: int) -> np.ndarray:
+    """Sorted keys of the cofaces of one p-simplex."""
+    n = f.rank.shape[0]
+    longest, verts = _decode(f, np.array([key]), p)
+    verts = verts[:, 0]
+    rows = f.rank[verts]
+    k = np.flatnonzero((rows >= 0).all(axis=0))
+    if k.size == 0:
+        return k.astype(np.int64)
+    new = rows[:, k]
+    top = new.argmax(axis=0)
+    longest_new = new[top, np.arange(k.size)]
+    via_new = longest_new > longest[0]
+    # Drop the coface's longest-edge endpoints; the other p vertices follow
+    # its rank in the key, largest first.
+    drop = np.zeros((p + 2, k.size), dtype=bool)
+    drop[:2, ~via_new] = True
+    drop[top[via_new], np.flatnonzero(via_new)] = True
+    drop[p + 1, via_new] = True
+    members = np.vstack([np.repeat(verts[:, None], k.size, axis=1), k])
+    others = np.sort(members.T[~drop.T].reshape(k.size, p), axis=1)
+    keys = np.maximum(longest_new, longest[0])
+    for v in others.T[::-1]:
+        keys = keys * n + v
+    return np.sort(keys)
+
+
+def _union_find(f: Filtration, bars: list[Bar]) -> np.ndarray:
+    """H0 by Kruskal over the sorted edges; returns the spanning-forest ranks."""
+    n = f.rank.shape[0]
+    parent = list(range(n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    values = f.values.tolist()
+    forest = []
+    for r, (i, j) in enumerate(f.edges.tolist()):
+        if len(forest) == n - 1:
+            break
+        a, b = root(i), root(j)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+            forest.append(r)
+            if values[r] > 0.0:
+                bars.append(Bar(dim=0, birth=0.0, death=values[r]))
+    bars.extend(Bar(dim=0, birth=0.0, death=f.max_scale, infinite=True) for _ in range(n - len(forest)))
+    return np.array(forest, dtype=np.int64)
+
+
+def _cohomology(f: Filtration, columns: np.ndarray, p: int, bars: list[Bar]) -> np.ndarray:
+    """Reduce the p-coboundary matrix over `columns` (ascending keys).
+
+    Columns run in decreasing key order with the pivot at the smallest
+    coface. Apparent pairs are paired up front; the rest are sorted key
+    arrays added with setxor1d. Appends the H_p bars and returns every
+    pivot: the (p + 1)-simplices that dimension p + 1 clears.
+    """
+    n = f.rank.shape[0]
+    values = f.values.tolist()
+    tau = _apparent_cofaces(f, columns, p)
+    apparent = tau >= 0
+    owner = dict(zip(tau[apparent].tolist(), columns[apparent].tolist()))
+    reduced: dict[int, np.ndarray] = {}
+    for s in columns[~apparent][::-1].tolist():
+        col = _coboundary(f, s, p)
+        while col.size and (o := owner.get(int(col[0]))) is not None:
+            other = reduced.get(o)
+            if other is None:  # an apparent column is its own coboundary
+                other = reduced[o] = _coboundary(f, o, p)
+            col = np.setxor1d(col, other, assume_unique=True)
+        birth = values[s // n ** (p - 1)]
+        if col.size:
+            owner[int(col[0])] = s
+            reduced[s] = col
+            death = values[int(col[0]) // n**p]
+            if death > birth:
+                bars.append(Bar(dim=p, birth=birth, death=death))
         else:
-            creators.append(j)
-    killed = {r for r, _ in pairs}
-    return pairs, creators, killed
+            bars.append(Bar(dim=p, birth=birth, death=f.max_scale, infinite=True))
+    return np.fromiter(owner, dtype=np.int64, count=len(owner))
 
 
 def persistence_diagram(f: Filtration) -> PersistenceDiagram:
-    """Boundary-matrix reduction over GF(2), one dimension block at a time."""
-    by_dim = f.by_dim
+    """H0 by union-find, then H1 (and H2) by persistent cohomology.
+
+    Each dimension clears the columns that are pivots of the one below: the
+    spanning-forest edges for H1, the H1 pivots for H2.
+    """
     bars: list[Bar] = []
-    creators_by_dim: dict[int, list[int]] = {0: list(range(len(by_dim[0])))}
-    killed_by_dim: dict[int, set[int]] = {}
-
-    for p in range(1, len(by_dim)):
-        pairs, creators, killed = _reduce_block(by_dim[p - 1], by_dim[p])
-        creators_by_dim[p] = creators
-        killed_by_dim[p - 1] = killed
-        for row, col in pairs:
-            birth = by_dim[p - 1][row][1]
-            death = by_dim[p][col][1]
-            if death > birth and p - 1 <= f.max_dim:
-                bars.append(Bar(dim=p - 1, birth=birth, death=death))
-    killed_by_dim.setdefault(len(by_dim) - 1, set())
-
-    for k in range(0, min(f.max_dim, len(by_dim) - 1) + 1):
-        killed = killed_by_dim.get(k, set())
-        for idx in creators_by_dim.get(k, []):
-            if idx not in killed:
-                birth = by_dim[k][idx][1]
-                bars.append(Bar(dim=k, birth=birth, death=f.max_scale, infinite=True))
-
+    cleared = _union_find(f, bars)
+    for p in range(1, f.max_dim + 1):
+        columns = _simplices(f, p)
+        cleared = _cohomology(f, columns[~np.isin(columns, cleared)], p, bars)
     bars.sort(key=lambda b: (b.dim, b.birth, b.death, not b.infinite))
     return PersistenceDiagram(intervals=tuple(bars), max_scale=f.max_scale, max_dim=f.max_dim)
 

@@ -160,6 +160,26 @@ def test_qprofile_angle_capacity_exit_3(capsys):
     assert "requires 15 qubits" in err
 
 
+def test_qprofile_partial_report_on_topology_failure(tmp_path, capsys):
+    # more rows than the Rips cap: the topology entries and both composites
+    # that read them become error flags of a partial report, exit 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"rips_point_cap": 8}')
+    code, out, _ = run_cli(
+        ["qprofile", "synth:gaussian_blob:n=12,d=4", "--map", "amplitude", "--config", str(cfg)], capsys
+    )
+    assert code == 1
+    report = json.loads(out)
+    jsonschema.validate(report, REPORT_SCHEMA_V1)
+    assert "error:quantum_topology=12 points exceeds the cap 8" in report["flags"]
+    assert any(f.startswith("error:induced_complexity=") for f in report["flags"])
+    assert any(f.startswith("error:quantum_complexity=") for f in report["flags"])
+    assert report["composites"] == [] and report["resource_estimate"] is None
+    assert "quantum_topological_complexity" not in report["metrics"]
+    assert "m6_embedding_topology" not in report["metrics"]
+    assert "m1_support_dimension" in report["metrics"]
+
+
 def test_qprofile_phase_ring_m6_positive(capsys):
     code, out, _ = run_cli(["qprofile", "synth:phase_ring", "--map", "angle", "--seed", "3"], capsys)
     assert code == 0

@@ -1,68 +1,24 @@
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 
+import rips_oracle
 from datacomplexity.errors import InvalidConfig, TooManyPoints
+from datacomplexity.qmetrics import fidelity_distances
 from datacomplexity.topology import (
     Bar,
     DistanceMatrix,
     betti_at_scale,
     distance_matrix_from_points,
+    enclosing_radius,
     euler_characteristic,
     persistence_diagram,
     rips_filtration,
     topological_complexity,
     total_persistence,
 )
-
-# ---------------------------------------------------------------------------
-# independent oracle: Betti numbers at a fixed scale from GF(2) ranks of the
-# full boundary matrices (plain Gaussian elimination, no persistence pairing)
-
-
-def oracle_simplices(d, scale, k):
-    n = d.shape[0]
-    out = []
-    for verts in combinations(range(n), k + 1):
-        if all(d[a, b] <= scale for a, b in combinations(verts, 2)):
-            out.append(verts)
-    return out
-
-
-def gf2_rank(rows):
-    rank = 0
-    rows = [r for r in rows if r]
-    while rows:
-        pivot = rows.pop()
-        rank += 1
-        high = pivot.bit_length() - 1
-        rows = [r ^ pivot if (r >> high) & 1 else r for r in rows]
-        rows = [r for r in rows if r]
-    return rank
-
-
-def oracle_boundary_rank(faces, cofaces):
-    index = {f: i for i, f in enumerate(faces)}
-    rows = []
-    for simplex in cofaces:
-        col = 0
-        for omit in range(len(simplex)):
-            face = simplex[:omit] + simplex[omit + 1 :]
-            col ^= 1 << index[face]
-        rows.append(col)
-    return gf2_rank(rows)
-
-
-def oracle_betti(d, scale, k):
-    sk = oracle_simplices(d, scale, k)
-    if not sk:
-        return 0
-    rank_down = oracle_boundary_rank(oracle_simplices(d, scale, k - 1), sk) if k > 0 else 0
-    rank_up = oracle_boundary_rank(sk, oracle_simplices(d, scale, k + 1))
-    return len(sk) - rank_down - rank_up
-
+from rips_oracle import oracle_betti
 
 # ---------------------------------------------------------------------------
 # fixed small complexes
@@ -74,10 +30,28 @@ def equilateral3():
 
 
 def test_rips_complete_triangle():
+    # the explicit builder lists the one triangle, entering at 1.0
+    explicit = rips_oracle.rips_filtration(equilateral3(), max_scale=2.0, max_dim=1)
+    assert len(explicit.by_dim[2]) == 1 and explicit.by_dim[2][0][1] == 1.0
+    # the implicit engine lists no triangle; the filled triangle shows in the
+    # diagram: no H1 bar, and both finite H0 bars die at 1.0
     f = rips_filtration(equilateral3(), max_scale=2.0, max_dim=1)
     assert len(f.by_dim[0]) == 3
     assert [v for _, v in f.by_dim[1]] == [1.0, 1.0, 1.0]
-    assert len(f.by_dim[2]) == 1 and f.by_dim[2][0][1] == 1.0
+    pd = persistence_diagram(f)
+    assert pd.bars(1) == []
+    assert [b.death for b in pd.bars(0) if not b.infinite] == [1.0, 1.0]
+
+
+def test_rips_lists_only_edges_up_to_enclosing_radius():
+    rng = np.random.default_rng(5)
+    dm = distance_matrix_from_points(rng.normal(size=(30, 3)))
+    f = rips_filtration(dm, max_dim=1)
+    assert len(f.by_dim) == 2
+    radius = enclosing_radius(dm)
+    assert radius < dm.diameter()
+    assert max(v for _, v in f.by_dim[1]) <= radius
+    assert len(f.by_dim[1]) < 30 * 29 // 2
 
 
 def test_rips_below_min_distance():
@@ -263,3 +237,45 @@ def test_diagram_json_export():
     objs = pd.to_json_obj()
     assert all(set(o) == {"dim", "birth", "death", "infinite"} for o in objs)
     assert any(o["infinite"] for o in objs)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the implicit engine against the explicit builder and
+# reducer of rips_oracle, exact PersistenceDiagram equality (floats included)
+
+DIFFERENTIAL_SIZES = (1, 2, 3, 4, 5, 7, 9, 12, 16, 22, 30, 40)
+
+
+def dissimilarities(kind, n, rng):
+    if kind == "euclidean":
+        return distance_matrix_from_points(rng.normal(size=(n, 3)))
+    if kind == "nonmetric_ties":
+        # one decimal: many ties and zeros, and the triangle inequality fails
+        u = np.triu(np.round(rng.uniform(0.0, 1.0, size=(n, n)), 1), k=1)
+        return DistanceMatrix(values=u + u.T)
+    amps = rng.normal(size=(n, 8)) + 1j * rng.normal(size=(n, 8))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    return DistanceMatrix(values=fidelity_distances(np.abs(amps @ amps.conj().T) ** 2))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "nonmetric_ties", "fidelity"])
+def test_diagram_equals_explicit_oracle(kind):
+    rng = np.random.default_rng(77)
+    cases = [dissimilarities(kind, n, rng) for n in DIFFERENTIAL_SIZES]
+    if kind == "euclidean":  # the octahedron has one H2 bar
+        cases.append(distance_matrix_from_points(np.vstack([np.eye(3), -np.eye(3)])))
+    seen = set()
+    for dm in cases:
+        explicit = rips_oracle.persistence_diagram(rips_oracle.rips_filtration(dm, max_dim=1))
+        # below the enclosing radius: inside the longest loop, if there is one
+        loop = max(explicit.bars(1), key=lambda b: b.lifetime, default=None)
+        inside = 0.5 * (loop.birth + loop.death) if loop else 0.6 * enclosing_radius(dm)
+        for max_dim in (0, 1, 2) if dm.n <= 12 else (0, 1):
+            for max_scale in (None, inside, 1.5 * dm.diameter() + 0.1):
+                got = persistence_diagram(rips_filtration(dm, max_scale, max_dim))
+                want = rips_oracle.persistence_diagram(rips_oracle.rips_filtration(dm, max_scale, max_dim))
+                assert got == want, (dm.n, max_dim, max_scale)
+                seen.update((b.dim, b.infinite) for b in got.intervals)
+    # the cases reach finite and essential classes in H0 and H1, and H2 bars
+    assert {(0, False), (0, True), (1, False), (1, True)} <= seen
+    assert any(dim == 2 for dim, _ in seen)
