@@ -170,12 +170,24 @@ def _set_partitions(items: tuple[int, ...]):
         yield [(first,)] + part
 
 
-def joint_cumulant(ds: Dataset, index_set: tuple[int, ...] | list[int]) -> CumulantValue:
-    """Joint cumulant of distinct columns via the partition (Moebius) formula.
+def cumulant_from_moments(items: tuple[int, ...], moment) -> float:
+    """Joint cumulant of `items` from raw moments by the partition (Moebius)
+    formula: the sum over set partitions pi of (-1)^(|pi|-1) (|pi|-1)! times
+    the product of moment(block) over the blocks of pi."""
+    value = 0.0
+    for part in _set_partitions(items):
+        term = 1.0
+        for block in part:
+            term *= moment(block)
+        r = len(part)
+        value += (-1.0) ** (r - 1) * float(math.factorial(r - 1)) * term
+    return value
 
-    kappa = sum over set partitions pi of (-1)^(|pi|-1) (|pi|-1)! times the
-    product over blocks of the empirical raw moment of that block. Order 2
-    therefore reproduces the covariance entry on standardized data.
+
+def joint_cumulant(ds: Dataset, index_set: tuple[int, ...] | list[int]) -> CumulantValue:
+    """Joint cumulant of distinct columns via the partition (Moebius) formula
+    over the empirical raw moments of the blocks (cumulant_from_moments).
+    Order 2 therefore reproduces the covariance entry on standardized data.
     """
     idx = tuple(int(i) for i in index_set)
     k = len(idx)
@@ -202,14 +214,7 @@ def joint_cumulant(ds: Dataset, index_set: tuple[int, ...] | list[int]) -> Cumul
             moment_cache[key] = float(prod.mean())
         return moment_cache[key]
 
-    value = 0.0
-    for part in _set_partitions(idx):
-        term = 1.0
-        for block in part:
-            term *= moment(block)
-        r = len(part)
-        value += (-1.0) ** (r - 1) * float(math.factorial(r - 1)) * term
-    return CumulantValue(index_set=tuple(sorted(idx)), order=k, value=value)
+    return CumulantValue(index_set=tuple(sorted(idx)), order=k, value=cumulant_from_moments(idx, moment))
 
 
 def max_abs_cumulant(ds: Dataset, order: int) -> float:

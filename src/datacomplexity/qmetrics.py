@@ -15,6 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from .classical import cumulant_from_moments
 from .config import SeededRng
 from .errors import (
     ArityError,
@@ -30,6 +31,8 @@ from .simulator import (
     DensityMatrix,
     ParameterizedCircuit,
     StateVector,
+    _require_unit_norms,
+    bipartition,
     expectation,
     gate_layout,
     partial_trace,
@@ -48,38 +51,43 @@ SCHMIDT_TOL = 1e-10
 KL_SMOOTHING = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumEnsemble:
-    states: tuple[StateVector, ...]
-    probabilities: tuple[float, ...]
+    """N pure states of n qubits with uniform weights, held as one read-only
+    (N, 2^n) complex array: row i is the amplitude vector of state i. A
+    complex array passed in is taken over, not copied, and made read-only."""
+
+    amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not self.states:
-            raise EnsembleError("ensemble must contain at least one state")
-        n = self.states[0].n_qubits
-        if any(s.n_qubits != n for s in self.states):
-            raise EnsembleError("ensemble states must share one qubit count")
-        if len(self.probabilities) != len(self.states):
-            raise EnsembleError("need one probability per state")
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        if np.any(p < 0):
-            raise EnsembleError("probabilities must be >= 0")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise EnsembleError(f"probabilities sum to {p.sum()}, not 1")
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        if amps.ndim != 2 or amps.shape[0] == 0:
+            raise EnsembleError("ensemble must be a non-empty (N, 2^n) amplitude array")
+        n = amps.shape[1].bit_length() - 1
+        if amps.shape[1] != 2**n or not 1 <= n <= MAX_QUBITS:
+            raise EnsembleError(f"rows must hold 2^n amplitudes with n in 1..{MAX_QUBITS}")
+        flat = amps.view(np.float64)
+        _require_unit_norms(np.einsum("ij,ij->i", flat, flat))
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def n_qubits(self) -> int:
-        return self.states[0].n_qubits
+        return self.amplitudes.shape[1].bit_length() - 1
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.amplitudes.shape[0]
 
 
 def uniform_ensemble(states) -> QuantumEnsemble:
+    """The ensemble of StateVectors that share one qubit count."""
     states = tuple(states)
-    p = 1.0 / len(states)
-    return QuantumEnsemble(states=states, probabilities=(p,) * len(states))
+    if not states:
+        raise EnsembleError("ensemble must contain at least one state")
+    if len({s.n_qubits for s in states}) != 1:
+        raise EnsembleError("ensemble states must share one qubit count")
+    return QuantumEnsemble(np.stack([s.amplitudes for s in states]))
 
 
 @dataclass(frozen=True)
@@ -116,30 +124,41 @@ class GradientStudy:
         return "\n".join(lines) + "\n"
 
 
+def entropy_bits(probs: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the entries p > 1e-12 of the last axis, in bits,
+    clamped at 0: the entropy of a spectrum, or of a batch of spectra."""
+    probs = np.where(probs > 1e-12, probs, 1.0)  # 1 log2 1 adds nothing
+    return np.maximum(-(probs * np.log2(probs)).sum(axis=-1), 0.0)
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr(rho log2 rho) over eigenvalues above 1e-12, in bits."""
     ev = rho.eigenvalues()
-    ev = ev[ev > 1e-12]
-    if ev.size == 0:
+    if not np.any(ev > 1e-12):
         raise InvalidState("density matrix has no positive eigenvalue")
-    return max(float(-(ev * np.log2(ev)).sum()), 0.0)
+    return float(entropy_bits(ev))
+
+
+def schmidt_spectra(amps: np.ndarray, keep) -> np.ndarray:
+    """Schmidt coefficients of every row of (N, 2^n) amplitudes split into
+    `keep` and the rest: (N, min(2^k, 2^(n-k))) singular values, descending.
+
+    Their squares are the spectrum of each row's reduced density matrix over
+    `keep`, which is never formed.
+    """
+    return np.linalg.svd(bipartition(amps, keep), compute_uv=False)
+
+
+def reduced_entropies(amps: np.ndarray, keep) -> np.ndarray:
+    """Entanglement entropy (bits) of every row's reduction over `keep`."""
+    return entropy_bits(schmidt_spectra(amps, keep) ** 2)
 
 
 def schmidt_rank(state: StateVector, partition) -> int:
     """Singular values above 1e-10 of the amplitude matrix split by `partition`."""
-    side_a = sorted(set(int(q) for q in partition))
-    n = state.n_qubits
-    side_b = [q for q in range(n) if q not in side_a]
-    if not side_a or not side_b:
+    if not 0 < len(set(partition)) < state.n_qubits:
         raise InvalidSubset("bipartition needs two non-empty sides")
-    if any(q < 0 or q >= n for q in side_a):
-        raise InvalidSubset(f"qubit out of range in {side_a}")
-    tensor = state.amplitudes.reshape((2,) * n)
-    axes_a = [n - 1 - q for q in reversed(side_a)]
-    axes_b = [n - 1 - q for q in reversed(side_b)]
-    mat = tensor.transpose(axes_a + axes_b).reshape(2 ** len(side_a), 2 ** len(side_b))
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > SCHMIDT_TOL))
+    return int(np.sum(schmidt_spectra(state.amplitudes[None], partition) > SCHMIDT_TOL))
 
 
 def quantum_mutual_information(state, subset_a, subset_b) -> float:
@@ -173,17 +192,6 @@ def quantum_mutual_information(state, subset_a, subset_b) -> float:
     return max(info, 0.0)
 
 
-def _set_partitions(items: tuple[int, ...]):
-    if len(items) == 1:
-        yield [items]
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [(first,) + part[i]] + part[i + 1 :]
-        yield [(first,)] + part
-
-
 def connected_correlator(state: StateVector, observables, _cache: dict | None = None) -> float:
     """Joint cumulant of single-qubit observables via the partition formula.
 
@@ -211,14 +219,7 @@ def connected_correlator(state: StateVector, observables, _cache: dict | None = 
             cache[pauli] = expectation(state, pauli)
         return cache[pauli]
 
-    value = 0.0
-    for part in _set_partitions(tuple(range(k))):
-        term = 1.0
-        for block in part:
-            term *= moment(block)
-        r = len(part)
-        value += (-1.0) ** (r - 1) * float(math.factorial(r - 1)) * term
-    return value
+    return cumulant_from_moments(tuple(range(k)), moment)
 
 
 def quantum_interaction_order(state: StateVector, epsilon: float, axes=("X", "Z")) -> int:
@@ -387,19 +388,25 @@ def pure_state_qfi(c: ParameterizedCircuit, theta, k: int) -> float:
     return max(qfi, 0.0)
 
 
-def collective_z_qfi(state: StateVector) -> float:
-    """QFI of a state under the collective phase generator J_z = sum_q Z_q / 2.
+def collective_z_qfis(amps: np.ndarray) -> np.ndarray:
+    """QFI of every row of (N, 2^n) amplitudes under the collective phase
+    generator J_z = sum_q Z_q / 2.
 
     Equals 4 Var(J_z): 0 for computational basis states, n^2 for GHZ states.
     Used as the pinned per-state QFI proxy in the composite scores.
     """
-    n = state.n_qubits
+    n = amps.shape[-1].bit_length() - 1
     # eigenvalue of J_z on basis state = (n - 2 * popcount) / 2
     jz = 0.5 * (n - 2.0 * popcount_table(n))
-    probs = np.abs(state.amplitudes) ** 2
-    mean = float(np.sum(probs * jz))
-    second = float(np.sum(probs * jz**2))
-    return 4.0 * max(second - mean**2, 0.0)
+    probs = np.abs(amps) ** 2
+    mean = probs @ jz
+    second = probs @ jz**2
+    return 4.0 * np.maximum(second - mean**2, 0.0)
+
+
+def collective_z_qfi(state: StateVector) -> float:
+    """collective_z_qfis of one state."""
+    return float(collective_z_qfis(state.amplitudes[None])[0])
 
 
 def global_cost_pauli(n: int) -> str:
@@ -466,11 +473,14 @@ def gradient_variance_study(
     )
 
 
-def topological_entanglement_entropy(state: StateVector, a, b, c) -> float:
+def topological_entanglement_entropies(amps: np.ndarray, a, b, c) -> np.ndarray:
     """Tripartite entropy combination isolating long-range entanglement.
 
-    Returns S_A + S_B + S_C - S_AB - S_BC - S_AC + S_ABC in bits; roughly
-    -gamma for topologically ordered states and 0 for trivial ones.
+    Returns S_A + S_B + S_C - S_AB - S_BC - S_AC + S_ABC in bits for every
+    row of (N, 2^n) amplitudes; roughly -gamma for topologically ordered
+    states and 0 for trivial ones. For pure states and blocks that cover the
+    register it is 0 up to rounding, since then S_AB = S_C, S_BC = S_A,
+    S_AC = S_B and S_ABC = 0.
     """
     sets = []
     for part in (a, b, c):
@@ -481,21 +491,20 @@ def topological_entanglement_entropy(state: StateVector, a, b, c) -> float:
     sa, sb, sc = sets
     if set(sa) & set(sb) or set(sb) & set(sc) or set(sa) & set(sc):
         raise InvalidSubset("tripartition blocks must be disjoint")
-
-    def entropy_of(keep):
-        if len(keep) == state.n_qubits:
-            return 0.0  # full register of a pure state
-        return von_neumann_entropy(partial_trace(state, keep))
-
     return (
-        entropy_of(sa)
-        + entropy_of(sb)
-        + entropy_of(sc)
-        - entropy_of(sa + sb)
-        - entropy_of(sb + sc)
-        - entropy_of(sa + sc)
-        + entropy_of(sa + sb + sc)
+        reduced_entropies(amps, sa)
+        + reduced_entropies(amps, sb)
+        + reduced_entropies(amps, sc)
+        - reduced_entropies(amps, sa + sb)
+        - reduced_entropies(amps, sb + sc)
+        - reduced_entropies(amps, sa + sc)
+        + reduced_entropies(amps, sa + sb + sc)
     )
+
+
+def topological_entanglement_entropy(state: StateVector, a, b, c) -> float:
+    """topological_entanglement_entropies of one state."""
+    return float(topological_entanglement_entropies(state.amplitudes[None], a, b, c)[0])
 
 
 def circuit_error_rate(epsilon_gate: float, depth: int, gates_per_layer: float) -> float:
@@ -520,11 +529,11 @@ def magic_monotone(rho: DensityMatrix) -> None:
 def ensemble_gram(e: QuantumEnsemble) -> np.ndarray:
     """Pairwise fidelity Gram matrix K[i][j] = |<psi_i|psi_j>|^2.
 
-    One product |A A^H|^2 over the stacked (N, 2^n) amplitudes; the upper
+    One product |A A^H|^2 over the (N, 2^n) amplitudes; the upper
     triangle is mirrored and the diagonal pinned to 1 so the matrix, and
     every distance matrix derived from it, is exactly symmetric.
     """
-    amps = np.stack([s.amplitudes for s in e.states])
+    amps = e.amplitudes
     upper = np.triu(np.abs(amps.conj() @ amps.T) ** 2, k=1)
     gram = upper + upper.T
     np.fill_diagonal(gram, 1.0)

@@ -5,10 +5,13 @@ and induced composites, and exposes the gradient-scaling model
 Var = exp(-alpha * n * d * (C + delta * C_topo)) plus its inverse fit.
 
 Every composite is a weighted read of named entries of one MetricVector.
-The quantum pipeline makes one pass: embed_dataset embeds the rows once,
-quantum_metrics builds the fidelity Gram, the fidelity distances and the
-Rips persistence once each and fills the entries that both the quantum and
-the induced composite read.
+The quantum pipeline makes one pass: embed_dataset encodes the rows into one
+(N, 2^n) amplitude array (a QuantumEnsemble), and quantum_metrics builds the
+fidelity Gram, the fidelity distances and the Rips persistence once each and
+fills the entries that both the quantum and the induced composite read.
+Per-state entropies, Schmidt ranks, TEE and QFIs are batched reads of that
+array: one SVD of each bipartition for all states (qmetrics.schmidt_spectra),
+no density matrix.
 
 Normalization is min-max against pinned theoretical bounds (entropy vs
 log2 N, interaction order vs its 1..4 range, ratios vs 1, entanglement
@@ -33,21 +36,21 @@ from .errors import (
     FitError,
     InvalidConfig,
     MissingMetric,
-    ZeroVector,
 )
 from .qmetrics import (
+    SCHMIDT_TOL,
     GradientStudy,
     QuantumEnsemble,
-    collective_z_qfi,
+    collective_z_qfis,
     ensemble_gram,
+    entropy_bits,
     expressibility_kl,
     fidelity_distances,
-    schmidt_rank,
-    topological_entanglement_entropy,
-    uniform_ensemble,
-    von_neumann_entropy,
+    reduced_entropies,
+    schmidt_spectra,
+    topological_entanglement_entropies,
 )
-from .simulator import FeatureMap, encode, encoding_circuit, fit_feature_map, partial_trace
+from .simulator import FeatureMap, encode_rows, encoding_circuit, fit_feature_map
 from .topology import (
     DistanceMatrix,
     PersistenceDiagram,
@@ -201,26 +204,16 @@ def _half_split(n: int) -> list[int]:
 
 
 def mean_bipartite_entropy(e: QuantumEnsemble) -> float:
-    """Probability-weighted half/half entanglement entropy (bits)."""
-    n = e.n_qubits
-    if n < 2:
+    """Mean half/half entanglement entropy (bits)."""
+    if e.n_qubits < 2:
         return 0.0
-    keep = _half_split(n)
-    total = 0.0
-    for p, s in zip(e.probabilities, e.states):
-        total += p * von_neumann_entropy(partial_trace(s, keep))
-    return total
+    return float(np.mean(reduced_entropies(e.amplitudes, _half_split(e.n_qubits))))
 
 
 def mean_multipartite_correlation(e: QuantumEnsemble) -> float:
-    """Weighted mean of sum_j S(rho_j) - S(rho_full); the full-state entropy
-    vanishes for the pure states produced by the simulator."""
-    total = 0.0
-    for p, s in zip(e.probabilities, e.states):
-        total += p * sum(
-            von_neumann_entropy(partial_trace(s, [q])) for q in range(s.n_qubits)
-        )
-    return total
+    """Mean of sum_j S(rho_j) - S(rho_full); the full-state entropy vanishes
+    for the pure states produced by the simulator."""
+    return float(np.mean(sum(reduced_entropies(e.amplitudes, [q]) for q in range(e.n_qubits))))
 
 
 def default_tripartition(n: int) -> tuple[list[int], list[int], list[int]]:
@@ -250,11 +243,7 @@ def quantum_topology_detail(e: QuantumEnsemble, gram: np.ndarray, cfg: ConfigPro
     """
     n = e.n_qubits
     if n >= 3:
-        a, b, c = default_tripartition(n)
-        s_topo = sum(
-            p * topological_entanglement_entropy(s, a, b, c)
-            for p, s in zip(e.probabilities, e.states)
-        )
+        s_topo = float(np.mean(topological_entanglement_entropies(e.amplitudes, *default_tripartition(n))))
     else:
         s_topo = 0.0
 
@@ -280,7 +269,8 @@ def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, flags: list[str] | N
     the quantum and induced composites read, except M5.
 
     The fidelity Gram, the topology detail, the bipartite entropy and the
-    per-state QFIs are computed once and shared by both composites. Each
+    per-state QFIs are computed once and shared by both composites; one SVD
+    of the half split gives both the entropy and the Schmidt rank. Each
     entry is normalized against its pinned bound. M5 needs the encoding
     circuit rather than the ensemble; see expressibility_locality.
 
@@ -299,19 +289,19 @@ def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, flags: list[str] | N
             raise
         flags.append(f"error:quantum_topology={exc}")
         detail = None
-    entropy = mean_bipartite_entropy(e)
-    qfis = [collective_z_qfi(s) for s in e.states]
+    qfis = collective_z_qfis(e.amplitudes)
 
     mv = MetricVector()
+    entropy = 0.0
     if n >= 2:
-        half = _half_split(n)
-        ranks = [schmidt_rank(s, half) for s in e.states]
-        mv.add("mean_schmidt_rank", float(np.mean(ranks)), (0.0, float(2 ** (n // 2))))
+        spectra = schmidt_spectra(e.amplitudes, _half_split(n))
+        entropy = float(np.mean(entropy_bits(spectra**2)))
+        mv.add("mean_schmidt_rank", float(np.mean(np.sum(spectra > SCHMIDT_TOL, axis=1))), (0.0, float(2 ** (n // 2))))
     mv.add("mean_entanglement_entropy", entropy, (0.0, max(1, n // 2)))
     mv.add("multipartite_correlation", mean_multipartite_correlation(e), (0.0, float(n)))
     mv.add("ensemble_rank_eff", rank, (0.0, float(size)))
     mv.add("magic_monotone", 0.0, (0.0, 1.0))
-    mv.add("mean_qfi", sum(p * q for p, q in zip(e.probabilities, qfis)), (0.0, float(n**2)))
+    mv.add("mean_qfi", float(np.mean(qfis)), (0.0, float(n**2)))
     mv.add("m1_support_dimension", rank, (0.0, float(size)))
     mv.add("m2_qfi_spread", float(np.var(qfis)), (0.0, float(n**4) / 4.0))
     mv.add("m3_entanglement_entropy", entropy, (0.0, max(1, n // 2)))
@@ -340,15 +330,9 @@ def quantum_complexity(mv: MetricVector, alpha_weights) -> CompositeScore:
 
 
 def embed_dataset(ds: Dataset, fm: FeatureMap) -> QuantumEnsemble:
-    """Encode every row and return the uniform ensemble of embedded states."""
+    """Encode every row in one batched pass into the uniform ensemble."""
     fitted = fit_feature_map(fm, ds.matrix) if fm.kind == "angle" else fm
-    states = []
-    for i, row in enumerate(ds.matrix):
-        try:
-            states.append(encode(fitted, row))
-        except ZeroVector as exc:
-            raise ZeroVector(f"row {i}: {exc}") from exc
-    return uniform_ensemble(states)
+    return QuantumEnsemble(encode_rows(fitted, ds.matrix))
 
 
 def expressibility_locality(fm: FeatureMap, n_features: int, cfg: ConfigProfile) -> float:

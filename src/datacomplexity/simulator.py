@@ -19,7 +19,13 @@ ladder of a layered-ansatz layer is one gather; Z-string expectations are
 signs @ |amps|^2 over a cached parity table. Columns run in chunks whose
 block and spare buffer together hold CHUNK_BYTES (1 MiB) of amplitudes, so a
 chunk stays in L2 cache. run_with_angles is a one-column call into it.
-Angle encoding (encode) keeps its own product of per-feature rotations.
+
+Feature maps encode a whole data matrix at once (encode_rows) into an
+(N, 2^n) array, one state per row; angle rows are product states built from
+per-qubit [cos, sin] factors, and encode is a one-row call. bipartition
+reshapes amplitudes into (kept qubits) x (other qubits) matrices; it holds
+the pinned qubit order for partial_trace, partial_trace_density and the
+batched Schmidt spectra in qmetrics.
 """
 
 from __future__ import annotations
@@ -203,11 +209,6 @@ class ParameterizedCircuit:
             for rec in obj["gates"]
         )
         return cls(n_qubits=obj["n_qubits"], gates=gates, n_params=obj["n_params"])
-
-
-def _apply_single(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    view = amps.reshape(2 ** (n - 1 - q), 2, 2**q)
-    return np.einsum("ab,xby->xay", u, view).reshape(-1)
 
 
 def resolve_angles(c: ParameterizedCircuit, theta: np.ndarray) -> list[float | None]:
@@ -406,7 +407,6 @@ class FeatureMap:
 
     kind: str
     n_qubits: int
-    angle_axis: str = "RY"
     feature_min: tuple[float, ...] | None = None
     feature_max: tuple[float, ...] | None = None
 
@@ -431,7 +431,6 @@ def fit_feature_map(fm: FeatureMap, matrix: np.ndarray) -> FeatureMap:
     return FeatureMap(
         kind=fm.kind,
         n_qubits=fm.n_qubits,
-        angle_axis=fm.angle_axis,
         feature_min=tuple(float(v) for v in lo),
         feature_max=tuple(float(v) for v in hi),
     )
@@ -450,45 +449,67 @@ def encoding_circuit(fm: FeatureMap, n_features: int) -> ParameterizedCircuit:
     """The parameterized gate circuit of an angle map (one RY slot per feature)."""
     if fm.kind != "angle":
         raise InvalidConfig("only angle maps have a fixed encoding circuit")
-    gates = tuple(Gate(name=fm.angle_axis, qubits=(j,), param_slot=j) for j in range(n_features))
+    gates = tuple(Gate(name="RY", qubits=(j,), param_slot=j) for j in range(n_features))
     return ParameterizedCircuit(n_qubits=fm.n_qubits, gates=gates, n_params=n_features)
 
 
-def encode(fm: FeatureMap, x) -> StateVector:
-    """Map one feature vector to a state under the configured encoding."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    d = x.size
+def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
+    """Map every row of an (N, d) matrix to a state: the (N, 2^n) amplitudes.
+
+    An angle row is the product state of RY(pi * x~_j)|0> on qubit j, its
+    per-qubit [cos, sin] factors multiplied in qubit order. No norm check is
+    made here; QuantumEnsemble checks the whole array once.
+    """
+    x = np.asarray(matrix, dtype=np.float64)
+    rows, d = x.shape
+    need = required_qubits(fm.kind, d)
+    if need > fm.n_qubits:
+        raise CapacityError(f"{fm.kind} encoding of {d} features requires {need} qubits")
+    amps = np.zeros((rows, 2**fm.n_qubits), dtype=complex)
     if fm.kind == "amplitude":
-        if d > 2**fm.n_qubits:
-            raise CapacityError(
-                f"amplitude encoding of {d} features requires "
-                f"{required_qubits('amplitude', d)} qubits"
-            )
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:
-            raise ZeroVector("cannot amplitude-encode an all-zero vector")
-        amps = np.zeros(2**fm.n_qubits, dtype=complex)
-        amps[:d] = x / norm
-        return StateVector(n_qubits=fm.n_qubits, amplitudes=amps)
-
-    if d > fm.n_qubits:
-        raise CapacityError(f"{fm.kind} encoding of {d} features requires {d} qubits")
-
-    if fm.kind == "basis":
-        index = 0
+        for i, row in enumerate(x):
+            norm = float(np.linalg.norm(row))
+            if norm == 0.0:
+                raise ZeroVector(f"row {i}: cannot amplitude-encode an all-zero vector")
+            amps[i, :d] = row / norm
+    elif fm.kind == "basis":
+        amps[np.arange(rows), (x > 0.0) @ (1 << np.arange(d))] = 1.0
+    else:
+        half = math.pi * _minmax_scale(fm, x) / 2.0
+        prod = np.ones((rows, 1))
         for j in range(d):
-            if x[j] > 0.0:
-                index |= 1 << j
-        amps = np.zeros(2**fm.n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return StateVector(n_qubits=fm.n_qubits, amplitudes=amps)
+            # qubit j is bit j: its |1> factor fills the upper half of the index range
+            factors = np.array([[math.cos(t), math.sin(t)] for t in half[:, j]])
+            prod = (factors[:, :, None] * prod[:, None, :]).reshape(rows, -1)
+        amps[:, : 2**d] = prod  # qubits d..n-1 stay |0>
+    return amps
 
-    scaled = _minmax_scale(fm, x)
-    state = zero_state(fm.n_qubits)
-    amps = state.amplitudes.copy()
-    for j in range(d):
-        amps = _apply_single(amps, rotation_matrix(fm.angle_axis, math.pi * scaled[j]), j, fm.n_qubits)
-    return StateVector(n_qubits=fm.n_qubits, amplitudes=amps)
+
+def encode(fm: FeatureMap, x) -> StateVector:
+    """Map one feature vector to a state: a one-row call into encode_rows."""
+    row = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return StateVector(n_qubits=fm.n_qubits, amplitudes=encode_rows(fm, row)[0])
+
+
+def bipartition(amps: np.ndarray, keep) -> np.ndarray:
+    """(..., 2^n) amplitudes as (..., 2^k, 2^(n-k)) matrices split by `keep`.
+
+    Rows index the k kept qubits, columns the others, both in ascending qubit
+    order: the smallest kept qubit becomes bit 0 of the row index.
+    """
+    n = amps.shape[-1].bit_length() - 1
+    keep = sorted(set(int(q) for q in keep))
+    if not keep:
+        raise InvalidSubset("keep must be non-empty")
+    if any(q < 0 or q >= n for q in keep):
+        raise InvalidSubset(f"qubit out of range in {keep}")
+    lead = amps.shape[:-1]
+    # axis of qubit q in the reshaped tensor is n-1-q (MSB first)
+    kept_axes = [n - 1 - q for q in reversed(keep)]
+    other_axes = [ax for ax in range(n) if ax not in kept_axes]
+    order = list(range(len(lead))) + [len(lead) + ax for ax in kept_axes + other_axes]
+    tensor = amps.reshape(lead + (2,) * n).transpose(order)
+    return tensor.reshape(lead + (2 ** len(keep), 2 ** (n - len(keep))))
 
 
 def partial_trace(state: StateVector, keep) -> DensityMatrix:
@@ -496,37 +517,17 @@ def partial_trace(state: StateVector, keep) -> DensityMatrix:
 
     The smallest kept qubit becomes bit 0 of the reduced index.
     """
-    keep = sorted(set(int(q) for q in keep))
-    if not keep:
-        raise InvalidSubset("keep must be non-empty")
-    if any(q < 0 or q >= state.n_qubits for q in keep):
-        raise InvalidSubset(f"qubit out of range in {keep}")
-    n = state.n_qubits
-    tensor = state.amplitudes.reshape((2,) * n)
-    # axis of qubit q in the reshaped tensor is n-1-q (MSB first)
-    kept_axes = [n - 1 - q for q in reversed(keep)]
-    other_axes = [ax for ax in range(n) if ax not in kept_axes]
-    mat = tensor.transpose(kept_axes + other_axes).reshape(2 ** len(keep), -1)
-    rho = mat @ mat.conj().T
-    return DensityMatrix(n_qubits=len(keep), values=rho)
+    mat = bipartition(state.amplitudes, keep)
+    return DensityMatrix(n_qubits=mat.shape[0].bit_length() - 1, values=mat @ mat.conj().T)
 
 
 def partial_trace_density(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced density matrix of a (possibly mixed) state."""
-    keep = sorted(set(int(q) for q in keep))
-    if not keep:
-        raise InvalidSubset("keep must be non-empty")
-    n = rho.n_qubits
-    if any(q < 0 or q >= n for q in keep):
-        raise InvalidSubset(f"qubit out of range in {keep}")
-    tensor = rho.values.reshape((2,) * (2 * n))
-    kept_axes = [n - 1 - q for q in reversed(keep)]
-    other_axes = [ax for ax in range(n) if ax not in kept_axes]
-    perm = kept_axes + other_axes + [n + ax for ax in kept_axes] + [n + ax for ax in other_axes]
-    k = len(keep)
-    block = tensor.transpose(perm).reshape(2**k, 2 ** (n - k), 2**k, 2 ** (n - k))
-    reduced = np.einsum("aibi->ab", block)
-    return DensityMatrix(n_qubits=k, values=reduced)
+    cols = bipartition(rho.values, keep)
+    # rows split like the columns: block[c, i, r, j] = rho[(r, j), (c, i)]
+    block = bipartition(np.moveaxis(cols, 0, -1), keep)
+    reduced = np.einsum("biai->ab", block)
+    return DensityMatrix(n_qubits=reduced.shape[0].bit_length() - 1, values=reduced)
 
 
 def parse_pauli(pauli: str, n_qubits: int) -> str:

@@ -116,12 +116,13 @@ class PersistenceDiagram:
 class Filtration:
     """Vertices and edges of a Rips filtration; higher simplices stay implicit.
 
-    `by_dim[p]` holds (vertex tuple, value) pairs for p = 0 and 1. `edges`
-    (m, 2) and `values` (m,) hold the same edges in rank order, and
+    `edges` (m, 2) and `values` (m,) hold the edges in rank order, and
     `rank[i, j]` is the rank of edge ij, or -1 where there is no edge.
+    `by_dim` lists the simplices per dimension as arrays: the vertices
+    np.arange(n), then `edges`.
     """
 
-    by_dim: tuple[tuple[tuple[tuple[int, ...], float], ...], ...]
+    by_dim: tuple[np.ndarray, np.ndarray]
     max_scale: float
     max_dim: int
     edges: np.ndarray
@@ -164,12 +165,8 @@ def rips_filtration(
     rank = np.full((n, n), -1, dtype=np.int64)
     rank[edges[:, 0], edges[:, 1]] = rank[edges[:, 1], edges[:, 0]] = np.arange(len(keep))
 
-    by_dim = (
-        tuple(((i,), 0.0) for i in range(n)),
-        tuple(zip(map(tuple, edges.tolist()), values.tolist())),
-    )
     return Filtration(
-        by_dim=by_dim,
+        by_dim=(np.arange(n), edges),
         max_scale=float(max_scale),
         max_dim=max_dim,
         edges=edges,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from datacomplexity.errors import (
     ArityError,
     EnsembleError,
     InvalidConfig,
+    InvalidState,
     InvalidSubset,
     OrderTooHigh,
 )
@@ -29,7 +31,9 @@ from datacomplexity.qmetrics import (
     pure_state_qfi,
     quantum_interaction_order,
     quantum_mutual_information,
+    reduced_entropies,
     schmidt_rank,
+    schmidt_spectra,
     topological_entanglement_entropy,
     uniform_ensemble,
     von_neumann_entropy,
@@ -72,6 +76,33 @@ def test_ghz_single_qubit_entropy(ghz3_state):
     for q in range(3):
         s = von_neumann_entropy(partial_trace(ghz3_state, [q]))
         assert s == pytest.approx(1.0, abs=1e-9)
+
+
+def random_layered_states(n, count, seed):
+    rng = SeededRng(seed).generator()
+    states = []
+    for _ in range(count):
+        circuit = random_layered_circuit(n, 3, rng)
+        states.append(run_circuit(circuit, rng.uniform(0, 2 * math.pi, circuit.n_params)))
+    return states
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batched_entropies_match_density_matrix_path(n):
+    """One SVD per batch and bipartition gives every state's reduced
+    entropy, for every kept subset including the whole register."""
+    states = random_layered_states(n, 5, seed=40 + n)
+    amps = np.stack([s.amplitudes for s in states])
+    for k in range(1, n + 1):
+        for keep in itertools.combinations(range(n), k):
+            batched = reduced_entropies(amps, keep)
+            expected = [von_neumann_entropy(partial_trace(s, keep)) for s in states]
+            assert batched == pytest.approx(expected, abs=1e-12)
+            # the squared Schmidt coefficients are the reduced spectrum
+            spectra = schmidt_spectra(amps, keep) ** 2
+            for s, lam in zip(states, spectra):
+                ev = np.sort(partial_trace(s, keep).eigenvalues())[::-1][: lam.size]
+                assert lam == pytest.approx(ev, abs=1e-12)
 
 
 def test_entropy_symmetry_over_bipartitions():
@@ -435,9 +466,15 @@ def test_magic_stub_unsupported():
 
 def test_ensemble_validation(bell_state):
     with pytest.raises(EnsembleError):
-        QuantumEnsemble(states=(bell_state, zero_state(3)), probabilities=(0.5, 0.5))
+        uniform_ensemble([bell_state, zero_state(3)])
     with pytest.raises(EnsembleError):
-        QuantumEnsemble(states=(bell_state,), probabilities=(0.5,))
+        uniform_ensemble([])
+    with pytest.raises(EnsembleError):
+        QuantumEnsemble(np.ones((2, 3)) / math.sqrt(3))
+    with pytest.raises(InvalidState):
+        QuantumEnsemble(np.ones((2, 4)))
+    e = uniform_ensemble([bell_state, bell_state])
+    assert e.amplitudes.shape == (2, 4) and not e.amplitudes.flags.writeable
 
 
 def test_ensemble_gram_and_distances(bell_state, product_plus_state):

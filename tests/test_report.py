@@ -4,7 +4,7 @@ from collections import Counter
 import jsonschema
 import numpy as np
 
-from datacomplexity import qmetrics, scoring, topology
+from datacomplexity import qmetrics, scoring, simulator, topology
 from datacomplexity import report as report_module
 from datacomplexity.config import ConfigProfile, validate_config
 from datacomplexity.dataset import Dataset
@@ -41,12 +41,25 @@ def test_qprofile_report_round_trip_lossless():
 
 def test_qprofile_computes_each_quantity_once(monkeypatch):
     """One profile_quantum pass embeds once, builds one fidelity Gram and
-    runs Rips once; both composites read the shared results."""
+    runs Rips once; both composites read the shared results. The rows are
+    encoded as one array and no per-state density matrix is formed."""
+    expected = {
+        "embed_dataset": 1,
+        "ensemble_gram": 1,
+        "quantum_topology_detail": 1,
+        "rips_filtration": 1,
+        "encode": 0,
+        "partial_trace": 0,
+        "von_neumann_entropy": 0,
+    }
     counted = {
         "embed_dataset": scoring.embed_dataset,
         "ensemble_gram": qmetrics.ensemble_gram,
         "quantum_topology_detail": scoring.quantum_topology_detail,
         "rips_filtration": topology.rips_filtration,
+        "encode": simulator.encode,
+        "partial_trace": simulator.partial_trace,
+        "von_neumann_entropy": qmetrics.von_neumann_entropy,
     }
     calls = Counter()
 
@@ -57,13 +70,13 @@ def test_qprofile_computes_each_quantity_once(monkeypatch):
 
         return wrapper
 
-    for module in (qmetrics, report_module, scoring, topology):
+    for module in (qmetrics, report_module, scoring, simulator, topology):
         for attr, value in list(vars(module).items()):
             for name, fn in counted.items():
                 if value is fn:
                     monkeypatch.setattr(module, attr, counting(name, fn))
     profile_quantum(small_dataset(), "angle", CFG)
-    assert calls == {name: 1 for name in counted}
+    assert {name: calls[name] for name in counted} == expected
 
 
 def test_barren_report_round_trip_and_schema():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datacomplexity.config import ConfigProfile
+from datacomplexity.config import ConfigProfile, SeededRng
 from datacomplexity.dataset import Dataset
 from datacomplexity.errors import (
     DegenerateCollection,
@@ -31,7 +31,14 @@ from datacomplexity.scoring import (
     trainability_condition,
     trainability_prediction,
 )
-from datacomplexity.simulator import FeatureMap, StateVector, zero_state
+from datacomplexity.simulator import (
+    FeatureMap,
+    StateVector,
+    random_layered_circuit,
+    rotation_matrix,
+    run_circuit,
+    zero_state,
+)
 
 CFG = ConfigProfile()
 
@@ -200,6 +207,21 @@ def test_phase_ring_has_loop():
     assert sum(b.lifetime for b in h1) > 0.0
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_tee_vanishes_on_pure_states_with_covering_tripartition(n):
+    """S_AB = S_C, S_BC = S_A, S_AC = S_B and S_ABC = 0 for a pure state, so
+    the tripartite combination is 0 up to rounding on entangled ensembles."""
+    rng = SeededRng(60 + n).generator()
+    states = []
+    for _ in range(6):
+        circuit = random_layered_circuit(n, 4, rng)
+        states.append(run_circuit(circuit, rng.uniform(0, 2 * math.pi, circuit.n_params)))
+    e = uniform_ensemble(states)
+    assert mean_bipartite_entropy(e) > 0.1  # the states are entangled
+    detail = quantum_topology_detail(e, ensemble_gram(e), CFG)
+    assert abs(detail.s_topo) <= 1e-12
+
+
 def test_default_tripartition_covers_register():
     for n in (3, 4, 5, 8):
         a, b, c = default_tripartition(n)
@@ -253,7 +275,43 @@ def test_embed_dataset_uniform_probabilities():
     ds = one_hot_dataset(3)
     e = embed_dataset(ds, FeatureMap(kind="basis", n_qubits=3))
     assert e.size == 3
-    assert sum(e.probabilities) == pytest.approx(1.0)
+    assert e.amplitudes.shape == (3, 8)
+
+
+def kron_oracle(kind, row, n_qubits, lo, hi):
+    """Dense state of one row: a Kronecker product of per-qubit states,
+    qubit n-1 leftmost, or the normalized row zero-padded."""
+    if kind == "amplitude":
+        amps = np.zeros(2**n_qubits)
+        amps[: row.size] = row / np.linalg.norm(row)
+        return amps
+    state = np.ones(1)
+    for q in range(n_qubits):
+        if q >= row.size:
+            one = np.array([1.0, 0.0])
+        elif kind == "basis":
+            one = np.array([0.0, 1.0]) if row[q] > 0 else np.array([1.0, 0.0])
+        else:
+            scaled = (row[q] - lo[q]) / (hi[q] - lo[q])
+            one = rotation_matrix("RY", math.pi * scaled) @ np.array([1.0, 0.0])
+        state = np.kron(one, state)
+    return state
+
+
+@pytest.mark.parametrize("kind,d,extra", [
+    ("angle", 4, 0), ("angle", 3, 2),
+    ("basis", 4, 0), ("basis", 3, 2),
+    ("amplitude", 6, 0), ("amplitude", 6, 2),
+])
+def test_embed_dataset_matches_kron_oracle(kind, d, extra):
+    rng = np.random.default_rng(d + extra)
+    x = rng.normal(size=(9, d))
+    n_qubits = (math.ceil(math.log2(d)) if kind == "amplitude" else d) + extra
+    e = embed_dataset(Dataset(x, tuple(f"c{j}" for j in range(d))), FeatureMap(kind=kind, n_qubits=n_qubits))
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    expected = np.stack([kron_oracle(kind, row, n_qubits, lo, hi) for row in x])
+    assert e.amplitudes.shape == (9, 2**n_qubits)
+    assert np.allclose(e.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

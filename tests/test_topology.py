@@ -37,7 +37,7 @@ def test_rips_complete_triangle():
     # diagram: no H1 bar, and both finite H0 bars die at 1.0
     f = rips_filtration(equilateral3(), max_scale=2.0, max_dim=1)
     assert len(f.by_dim[0]) == 3
-    assert [v for _, v in f.by_dim[1]] == [1.0, 1.0, 1.0]
+    assert f.values.tolist() == [1.0, 1.0, 1.0]
     pd = persistence_diagram(f)
     assert pd.bars(1) == []
     assert [b.death for b in pd.bars(0) if not b.infinite] == [1.0, 1.0]
@@ -50,7 +50,7 @@ def test_rips_lists_only_edges_up_to_enclosing_radius():
     assert len(f.by_dim) == 2
     radius = enclosing_radius(dm)
     assert radius < dm.diameter()
-    assert max(v for _, v in f.by_dim[1]) <= radius
+    assert f.values.max() <= radius
     assert len(f.by_dim[1]) < 30 * 29 // 2
 
 
