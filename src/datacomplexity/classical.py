@@ -4,6 +4,12 @@ Covers everything except topology: intrinsic dimension from the covariance
 spectrum, distributional entropy over discretized rows, joint cumulants and
 the interaction order they induce, the compression-ratio proxy for
 algorithmic complexity, and kernel-spectrum effective dimensions.
+
+The interaction order scans orders from the highest (min(4, d)) down and
+stops at the first chunk of index sets with a significant cumulant, which
+gives the same integer as taking every order's maximum. Each chunk is
+evaluated as arrays, one 256 KiB ``(sets, N)`` moment array at a time
+(``CUMULANT_CHUNK_BYTES``), with the values ``joint_cumulant`` gives per set.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from .errors import (
 CUMULANT_ORDER_CAP = 4
 EIGENVALUE_ZERO_REL = 1e-10  # eigenvalues below this * lambda_max count as zero
 COMPRESSION_LEVEL = 9  # pinned zlib level; recorded in reports
+CUMULANT_CHUNK_BYTES = 256 * 1024  # one (sets, N) float64 moment array of the cumulant scan
 
 
 @dataclass(frozen=True)
@@ -170,10 +177,16 @@ def _set_partitions(items: tuple[int, ...]):
         yield [(first,)] + part
 
 
-def cumulant_from_moments(items: tuple[int, ...], moment) -> float:
+def cumulant_from_moments(items: tuple[int, ...], moment):
     """Joint cumulant of `items` from raw moments by the partition (Moebius)
     formula: the sum over set partitions pi of (-1)^(|pi|-1) (|pi|-1)! times
-    the product of moment(block) over the blocks of pi."""
+    the product of moment(block) over the blocks of pi.
+
+    `moment` may return floats or equal-shaped float arrays (one entry per
+    index set); an array-valued moment gives an array of cumulants, each
+    entry computed with the same operations in the same order as the float
+    case.
+    """
     value = 0.0
     for part in _set_partitions(items):
         term = 1.0
@@ -217,36 +230,65 @@ def joint_cumulant(ds: Dataset, index_set: tuple[int, ...] | list[int]) -> Cumul
     return CumulantValue(index_set=tuple(sorted(idx)), order=k, value=cumulant_from_moments(idx, moment))
 
 
-def max_abs_cumulant(ds: Dataset, order: int) -> float:
-    """Largest |cumulant| over all distinct index sets of a given order.
+def _chunk_cumulants(xt: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Joint cumulants of each row of ``sets``, an ``(S, k)`` array of
+    ascending column indices into the ``(d, N)`` C-contiguous ``xt = X.T``.
 
-    Index sets are scanned in lexicographic order so the maximum is
-    bit-stable across runs.
+    Each block moment is an ``(S, N)`` product of rows of ``xt``, multiplied
+    in ascending column order as ``joint_cumulant`` does and averaged along
+    its rows, so every entry equals ``joint_cumulant(...).value`` bit for bit.
     """
-    best = 0.0
-    for idx in combinations(range(ds.n_features), order):
-        v = abs(joint_cumulant(ds, idx).value)
-        if v > best:
-            best = v
-    return best
+    moment_cache: dict[tuple[int, ...], np.ndarray] = {}
+
+    def moment(block: tuple[int, ...]) -> np.ndarray:
+        key = tuple(sorted(block))
+        if key not in moment_cache:
+            prod = xt[sets[:, key[0]]]
+            for pos in key[1:]:
+                prod *= xt[sets[:, pos]]
+            moment_cache[key] = prod.mean(axis=1)
+        return moment_cache[key]
+
+    return cumulant_from_moments(tuple(range(sets.shape[1])), moment)
+
+
+def _cumulant_chunks(ds: Dataset, order: int):
+    """Yield ``(sets, values)`` over all index sets of one order.
+
+    The sets are drawn lazily from ``combinations``, so chunks follow
+    lexicographic order and the full list is never built; each chunk holds
+    as many sets as make one ``(S, N)`` moment array ``CUMULANT_CHUNK_BYTES``.
+    """
+    xt = np.ascontiguousarray(ds.matrix.T)
+    step = max(1, CUMULANT_CHUNK_BYTES // (xt.itemsize * ds.n_samples))
+    it = combinations(range(ds.n_features), order)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(it, step)), dtype=np.intp)
+        if flat.size == 0:
+            return
+        sets = flat.reshape(-1, order)
+        yield sets, _chunk_cumulants(xt, sets)
 
 
 def interaction_order(ds: Dataset, epsilon: float) -> int:
-    """Highest order k in 2..4 whose strongest cumulant exceeds epsilon.
+    """Highest order k in 2..4 at which some cumulant's magnitude exceeds epsilon.
 
-    Returns 1 when no order is significant: datasets with no detectable
-    interactions get a defined floor.
+    Orders are scanned from min(4, d) down to 2, each over chunks of index
+    sets (``_cumulant_chunks``, ``CUMULANT_CHUNK_BYTES`` = 256 KiB per
+    moment array), and the scan stops at the first chunk with a significant
+    cumulant. This is the integer the order-by-order maximum over all sets
+    gives; NaN cumulants never count as significant. Returns 1 when no order
+    is significant: datasets with no detectable interactions get a defined
+    floor.
     """
-    if epsilon <= 0:
-        raise InvalidConfig("epsilon must be > 0")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidConfig(f"epsilon must be finite and > 0, got {epsilon}")
     if not ds.is_standardized:
         raise NotStandardized("interaction order is defined on standardized data")
-    k_max = min(CUMULANT_ORDER_CAP, ds.n_features)
-    result = 1
-    for k in range(2, k_max + 1):
-        if max_abs_cumulant(ds, k) > epsilon:
-            result = k
-    return result
+    for k in range(min(CUMULANT_ORDER_CAP, ds.n_features), 1, -1):
+        if any(np.any(np.abs(values) > epsilon) for _, values in _cumulant_chunks(ds, k)):
+            return k
+    return 1
 
 
 def compression_ratio(ds: Dataset) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +129,10 @@ class ConfigProfile:
         return fnv1a64(self.canonical_json().encode("utf-8"))
 
 
+# every scalar float field (rips_max_scale may also be None); NaN and +-inf
+# pass the range checks below unnoticed, since comparisons with NaN are False
+FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(ConfigProfile) if f.type in ("float", "float | None"))
+
 WEIGHT_GROUPS = ("lambda_weights", "alpha_weights", "beta_weights", "gamma_weights", "w_topology")
 
 GROUP_SIZES = {
@@ -141,8 +146,9 @@ GROUP_SIZES = {
 def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> ConfigProfile:
     """Validate a config; optionally rescale each weight group to sum to 1.
 
-    Raises :class:`InvalidConfig` on negative weights, an all-zero weight
-    group, non-positive thresholds, or an unsupported homology dimension.
+    Raises :class:`InvalidConfig` on non-finite or negative weights, an
+    all-zero weight group, a non-finite float field, non-positive thresholds,
+    or an unsupported homology dimension.
     """
     updates: dict[str, tuple[float, ...]] = {}
     for group in WEIGHT_GROUPS:
@@ -150,6 +156,8 @@ def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> Conf
         expected = GROUP_SIZES.get(group)
         if expected is not None and len(weights) != expected:
             raise InvalidConfig(f"{group} must have {expected} entries, got {len(weights)}")
+        if not all(math.isfinite(w) for w in weights):
+            raise InvalidConfig(f"non-finite weight in {group}: {weights}")
         if any(w < 0 for w in weights):
             raise InvalidConfig(f"negative weight in {group}: {weights}")
         total = sum(weights)
@@ -158,6 +166,10 @@ def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> Conf
         if normalize_weights:
             updates[group] = tuple(w / total for w in weights)
 
+    for name in FLOAT_FIELDS:
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidConfig(f"{name} must be finite, got {value}")
     for name in ("epsilon_cumulant", "epsilon_grad", "kernel_bandwidth"):
         if getattr(cfg, name) <= 0:
             raise InvalidConfig(f"{name} must be > 0")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datacomplexity import classical
 from datacomplexity.classical import (
     Spectrum,
     compression_ratio,
@@ -20,7 +22,9 @@ from datacomplexity.classical import (
     kernel_effective_dimension,
     kernel_gram,
 )
+from datacomplexity.config import ConfigProfile
 from datacomplexity.dataset import Dataset, standardize
+from datacomplexity.synthetic import generate, parse_synth_uri
 from datacomplexity.errors import (
     DegenerateSpectrum,
     EmptyDataset,
@@ -256,6 +260,107 @@ def test_interaction_order_correlated_pair():
     ds = standardized(np.stack([x, y], axis=1))
     # analytic covariance of the standardized pair is 0.9 > 0.1
     assert interaction_order(ds, 0.1) == 2
+
+
+def test_interaction_order_rejects_bad_epsilon():
+    ds = parity_dataset(reps=4)
+    for eps in (math.nan, math.inf, -math.inf, 0.0, -0.1):
+        with pytest.raises(InvalidConfig):
+            interaction_order(ds, eps)
+
+
+# the scan oracle: every order's largest |cumulant| from one joint_cumulant
+# call per index set, in lexicographic order, lowest order first
+
+
+def loop_max_abs_cumulant(ds, order):
+    best = 0.0
+    for idx in combinations(range(ds.n_features), order):
+        v = abs(joint_cumulant(ds, idx).value)
+        if v > best:
+            best = v
+    return best
+
+
+def loop_interaction_order(ds, epsilon):
+    result = 1
+    for k in range(2, min(4, ds.n_features) + 1):
+        if loop_max_abs_cumulant(ds, k) > epsilon:
+            result = k
+    return result
+
+
+@pytest.mark.parametrize("n", [7, 48, 129])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_chunked_cumulants_equal_joint_cumulant_bitwise(n, order, monkeypatch):
+    rng = np.random.default_rng(1000 * n + order)
+    ds = standardized(rng.normal(size=(n, 7)) @ rng.normal(size=(7, 7)) + rng.exponential(size=(n, 7)))
+    # three sets per chunk, so the 35 sets of order 3 or 4 span 12 chunks
+    monkeypatch.setattr(classical, "CUMULANT_CHUNK_BYTES", 3 * 8 * n)
+    chunks = list(classical._cumulant_chunks(ds, order))
+    assert len(chunks) > 1
+    sets = [tuple(row) for s, _ in chunks for row in s.tolist()]
+    values = [float(v) for _, vals in chunks for v in vals]
+    assert sets == list(combinations(range(7), order))
+    assert values == [joint_cumulant(ds, idx).value for idx in sets]
+
+
+def correlated_pair_dataset():
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=500)
+    return standardized(np.stack([x, 0.9 * x + math.sqrt(1 - 0.81) * rng.normal(size=500)], axis=1))
+
+
+@pytest.mark.parametrize(
+    "ds, expected",
+    [
+        (standardized(np.random.default_rng(3).normal(size=(20, 1))), 1),
+        (parity_dataset(), 3),
+        (correlated_pair_dataset(), 2),
+    ],
+    ids=["d1_floor", "parity", "correlated_pair"],
+)
+def test_interaction_order_matches_loop_oracle_examples(ds, expected):
+    eps = ConfigProfile().epsilon_cumulant
+    assert loop_interaction_order(ds, eps) == expected
+    assert interaction_order(ds, eps) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 9),
+    n=st.integers(8, 40),
+    pick=st.integers(0, 10**6),
+    scale=st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0]),
+    chunk_sets=st.integers(1, 5),
+)
+def test_interaction_order_matches_loop_oracle(seed, d, n, pick, scale, chunk_sets):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, d)) ** rng.integers(1, 4, size=d)
+    if d >= 3 and seed % 2:
+        m[:, 2] = np.sign(m[:, 0] * m[:, 1])  # a third-order parity interaction
+    ds = standardized(m)
+    # epsilon near one of the data's |cumulant| maxima (exactly at one when
+    # scale is 1.0), so every order can decide the result
+    maxima = [loop_max_abs_cumulant(ds, k) for k in range(2, min(4, d) + 1)] or [1.0]
+    eps = max(scale * maxima[pick % len(maxima)], 1e-300)
+    with pytest.MonkeyPatch.context() as mp:
+        # a few sets per chunk, so the scan crosses chunk boundaries
+        mp.setattr(classical, "CUMULANT_CHUNK_BYTES", chunk_sets * 8 * n)
+        assert interaction_order(ds, eps) == loop_interaction_order(ds, eps)
+
+
+def test_full_cumulant_scan_memory_peak():
+    ds = standardize(generate(parse_synth_uri("synth:gaussian_blob:n=96,d=40")))
+    # epsilon above every |cumulant|: all 102,050 sets of orders 4, 3 and 2 are scanned
+    tracemalloc.start()
+    try:
+        assert interaction_order(ds, 1e9) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,32 @@ def test_profile_parity_interaction_order(capsys):
     assert report["metrics"]["interaction_order"]["raw"] == 3.0
 
 
+SCALAR_FLOAT_FIELDS = [
+    "epsilon_cumulant",
+    "epsilon_grad",
+    "lambda_penalty",
+    "delta_topo",
+    "kernel_bandwidth",
+    "kernel_ridge",
+    "rips_max_scale",
+    "euler_scale_fraction",
+    "resource_q0",
+    "resource_q1",
+    "resource_d0",
+    "resource_d1",
+]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", SCALAR_FLOAT_FIELDS)
+def test_profile_non_finite_config_float_exit_4(field, value, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{field}": {value}}}')
+    code, _, err = run_cli(["profile", "synth:parity", "--config", str(path)], capsys)
+    assert code == 4
+    assert field in err
+
+
 def test_profile_circle_betti_dominant(capsys):
     code, out, _ = run_cli(["profile", "synth:circle", "--seed", "9"], capsys)
     assert code == 0

@@ -33,6 +33,13 @@ def test_negative_weight_rejected():
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_weight_rejected(bad):
+    cfg = dataclasses.replace(ConfigProfile(), alpha_weights=(bad, 0.2, 0.2, 0.0, 0.2, 0.2))
+    with pytest.raises(InvalidConfig, match="alpha_weights"):
+        validate_config(cfg)
+
+
 def test_all_zero_group_rejected():
     cfg = dataclasses.replace(ConfigProfile(), gamma_weights=(0.0, 0.0, 0.0))
     with pytest.raises(InvalidConfig):
