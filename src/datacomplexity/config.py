@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +134,31 @@ class ConfigProfile:
 # pass the range checks below unnoticed, since comparisons with NaN are False
 FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(ConfigProfile) if f.type in ("float", "float | None"))
 
+
+def _has_type(annotation: str, value) -> bool:
+    """Whether `value` fits a field annotation of ConfigProfile. An int field
+    takes integers, a float field any real number; neither takes a bool,
+    which Python counts as an int but JSON keeps apart."""
+    if annotation.endswith(" | None"):
+        return value is None or _has_type(annotation.removesuffix(" | None"), value)
+    if annotation.startswith("tuple["):
+        item = annotation.removeprefix("tuple[").split(",")[0].rstrip("]")
+        return isinstance(value, tuple) and all(_has_type(item, v) for v in value)
+    if annotation == "str":
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral if annotation == "int" else numbers.Real)
+
+
+def _finite(value) -> bool:
+    """math.isfinite, and False for an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 WEIGHT_GROUPS = ("lambda_weights", "alpha_weights", "beta_weights", "gamma_weights", "w_topology")
 
 GROUP_SIZES = {
@@ -146,17 +172,22 @@ GROUP_SIZES = {
 def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> ConfigProfile:
     """Validate a config; optionally rescale each weight group to sum to 1.
 
-    Raises :class:`InvalidConfig` on non-finite or negative weights, an
-    all-zero weight group, a non-finite float field, non-positive thresholds,
-    or an unsupported homology dimension.
+    Raises :class:`InvalidConfig` on a value whose type does not fit its
+    field's annotation, non-finite or negative weights, an all-zero weight
+    group, a non-finite float field, non-positive thresholds, a negative
+    seed, or an unsupported homology dimension.
     """
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if not _has_type(f.type, value):
+            raise InvalidConfig(f"{f.name} must be of type {f.type}, got {value!r}")
     updates: dict[str, tuple[float, ...]] = {}
     for group in WEIGHT_GROUPS:
         weights = getattr(cfg, group)
         expected = GROUP_SIZES.get(group)
         if expected is not None and len(weights) != expected:
             raise InvalidConfig(f"{group} must have {expected} entries, got {len(weights)}")
-        if not all(math.isfinite(w) for w in weights):
+        if not all(_finite(w) for w in weights):
             raise InvalidConfig(f"non-finite weight in {group}: {weights}")
         if any(w < 0 for w in weights):
             raise InvalidConfig(f"negative weight in {group}: {weights}")
@@ -168,7 +199,7 @@ def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> Conf
 
     for name in FLOAT_FIELDS:
         value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
+        if value is not None and not _finite(value):
             raise InvalidConfig(f"{name} must be finite, got {value}")
     for name in ("epsilon_cumulant", "epsilon_grad", "kernel_bandwidth"):
         if getattr(cfg, name) <= 0:
@@ -190,6 +221,8 @@ def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> Conf
         raise InvalidConfig("rips_point_cap must be >= 1")
     if cfg.expressibility_samples < 100:
         raise InvalidConfig("expressibility_samples must be >= 100")
+    if cfg.seed < 0:
+        raise InvalidConfig("seed must be >= 0")
 
     if updates:
         return dataclasses.replace(cfg, **updates)

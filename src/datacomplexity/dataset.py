@@ -124,30 +124,36 @@ def load_dataset(path: str, format: str | None = None, has_header: bool = False)
     if format not in ("csv", "json"):
         raise ParseError(f"unsupported format {format!r}")
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not text.strip():
         raise EmptyDataset(f"{path}: empty file")
 
     if format == "csv":
-        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+        try:
+            rows = [row for row in csv.reader(io.StringIO(text)) if row]
+        except csv.Error as exc:
+            raise ParseError(f"{path}: malformed CSV ({exc})") from None
         return _parse_rows(rows, str(path), has_header)
 
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict) or "data" not in payload:
         raise ParseError(f"{path}: JSON input must be an object with a 'data' key")
     data = payload["data"]
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ParseError(f"{path}: 'data' must be an array of arrays")
     rows = [[str(c) for c in row] for row in data]
     ds = _parse_rows(rows, str(path), has_header=False)
     columns = payload.get("columns")
     if columns is not None:
-        if len(columns) != ds.n_features:
-            raise ParseError(f"{path}: 'columns' length does not match data width")
+        if not isinstance(columns, list) or len(columns) != ds.n_features:
+            raise ParseError(f"{path}: 'columns' must be an array as long as a data row")
         ds = Dataset(ds.matrix, tuple(str(c) for c in columns), source=str(path))
     return ds
 

@@ -9,9 +9,12 @@ The quantum pipeline makes one pass: embed_dataset encodes the rows into one
 (N, 2^n) amplitude array (a QuantumEnsemble), and quantum_metrics builds the
 fidelity Gram, the fidelity distances and the Rips persistence once each and
 fills the entries that both the quantum and the induced composite read.
-Per-state entropies, Schmidt ranks, TEE and QFIs are batched reads of that
-array: one SVD of each bipartition for all states (qmetrics.schmidt_spectra),
-no density matrix.
+Per-state entropies, Schmidt ranks and QFIs are batched reads of that
+array, and no density matrix is formed: the half split is one SVD for all
+states (qmetrics.schmidt_spectra), each single-qubit entropy comes from the
+2x2 reduced state in closed form (qmetrics.single_qubit_entropies), and the
+TEE is exactly 0, since the states are pure and the tripartition covers the
+register.
 
 Normalization is min-max against pinned theoretical bounds (entropy vs
 log2 N, interaction order vs its 1..4 range, ratios vs 1, entanglement
@@ -48,7 +51,7 @@ from .qmetrics import (
     fidelity_distances,
     reduced_entropies,
     schmidt_spectra,
-    topological_entanglement_entropies,
+    single_qubit_entropies,
 )
 from .simulator import FeatureMap, encode_rows, encoding_circuit, fit_feature_map
 from .topology import (
@@ -212,8 +215,9 @@ def mean_bipartite_entropy(e: QuantumEnsemble) -> float:
 
 def mean_multipartite_correlation(e: QuantumEnsemble) -> float:
     """Mean of sum_j S(rho_j) - S(rho_full); the full-state entropy vanishes
-    for the pure states produced by the simulator."""
-    return float(np.mean(sum(reduced_entropies(e.amplitudes, [q]) for q in range(e.n_qubits))))
+    for the pure states produced by the simulator. Each S(rho_j) is the
+    entropy of a 2x2 reduced state (qmetrics.single_qubit_entropies)."""
+    return float(np.mean(single_qubit_entropies(e.amplitudes).sum(axis=1)))
 
 
 def default_tripartition(n: int) -> tuple[list[int], list[int], list[int]]:
@@ -240,13 +244,11 @@ def quantum_topology_detail(e: QuantumEnsemble, gram: np.ndarray, cfg: ConfigPro
     `gram` is the ensemble's fidelity Gram matrix; distances are
     sqrt(1 - fidelity). The Euler characteristic is evaluated at
     euler_scale_fraction of the filtration scale (pinned convention).
+    The TEE is recorded as exactly 0: the ensemble's states are pure and
+    default_tripartition covers the register, so S_AB = S_C, S_BC = S_A,
+    S_AC = S_B and S_ABC = 0 (qmetrics.topological_entanglement_entropies
+    evaluates the combination for any blocks).
     """
-    n = e.n_qubits
-    if n >= 3:
-        s_topo = float(np.mean(topological_entanglement_entropies(e.amplitudes, *default_tripartition(n))))
-    else:
-        s_topo = 0.0
-
     dm = DistanceMatrix(values=fidelity_distances(gram))
     max_scale = cfg.rips_max_scale if cfg.rips_max_scale is not None else dm.diameter()
     filtration = rips_filtration(dm, max_scale=max_scale, max_dim=cfg.max_homology_dim, point_cap=cfg.rips_point_cap)
@@ -255,7 +257,7 @@ def quantum_topology_detail(e: QuantumEnsemble, gram: np.ndarray, cfg: ConfigPro
     euler = euler_characteristic(diagram, euler_scale)
     pers = sum(total_persistence(diagram, k) for k in range(cfg.max_homology_dim + 1))
     return QuantumTopologyDetail(
-        s_topo=s_topo,
+        s_topo=0.0,
         euler=euler,
         euler_scale=euler_scale,
         persistence_sum=pers,
@@ -270,9 +272,11 @@ def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, flags: list[str] | N
 
     The fidelity Gram, the topology detail, the bipartite entropy and the
     per-state QFIs are computed once and shared by both composites; one SVD
-    of the half split gives both the entropy and the Schmidt rank. Each
-    entry is normalized against its pinned bound. M5 needs the encoding
-    circuit rather than the ensemble; see expressibility_locality.
+    of the half split gives both the entropy and the Schmidt rank. The
+    multipartite correlation sums single-qubit entropies of 2x2 reduced
+    states, and the TEE is recorded as 0.0 (see quantum_topology_detail).
+    Each entry is normalized against its pinned bound. M5 needs the
+    encoding circuit rather than the ensemble; see expressibility_locality.
 
     A failing topology detail (say, more states than rips_point_cap) raises,
     or, when `flags` is a list, is recorded there as

@@ -19,6 +19,10 @@ ladder of a layered-ansatz layer is one gather; Z-string expectations are
 signs @ |amps|^2 over a cached parity table. Columns run in chunks whose
 block and spare buffer together hold CHUNK_BYTES (1 MiB) of amplitudes, so a
 chunk stays in L2 cache. run_with_angles is a one-column call into it.
+A layout without CNOT/CZ (is_entangling is False) leaves |0...0> a product
+state, and run_product_batch runs it qubit by qubit: each qubit's gates act
+on its own (2, B) block with the same two-term update, so no 2^n array is
+formed.
 
 Feature maps encode a whole data matrix at once (encode_rows) into an
 (N, 2^n) array, one state per row; angle rows are product states built from
@@ -373,6 +377,38 @@ def run_batch(
                 _rotate(block, np.broadcast_to(c, (2, 2, b)), a, n, spare)
         _require_unit_norms(_squared_norms(block))
         yield cols, block
+
+
+def is_entangling(layout) -> bool:
+    """Whether a gate layout holds a CNOT/CZ; without one it makes product states."""
+    return any(name in TWO_QUBIT_GATES for name, _ in layout)
+
+
+def run_product_batch(n_qubits: int, layout, axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Run B circuits of one layout without CNOT/CZ, qubit by qubit.
+
+    Such a circuit leaves |0...0> a product state, so each qubit's gates act
+    on its own (2, B) block with the same two-term update as run_batch.
+    Returns the (n, 2, B) factors: [q, :, b] is qubit q of column b, and a
+    qubit with no gate stays [1, 0]. `axes` and `angles` are as in run_batch.
+    """
+    if is_entangling(layout):
+        raise ArityError("a layout with CNOT/CZ does not make product states")
+    factors = np.zeros((n_qubits, 2, axes.shape[1]), dtype=complex)
+    factors[:, 0] = 1.0
+    row = 0
+    for name, (q,) in layout:
+        if name == "R":
+            u = _rotation_coefficients(axes[row], angles[row])
+            row += 1
+        elif name in FIXED_GATES:
+            u = FIXED_GATES[name][:, :, None]
+        else:
+            raise ParseError(f"unknown gate {name!r}")
+        s0, s1 = factors[q]
+        factors[q] = u[:, 0] * s0 + u[:, 1] * s1
+    _require_unit_norms(np.sum(np.abs(factors) ** 2, axis=1).ravel())
+    return factors
 
 
 def run_with_angles(c: ParameterizedCircuit, angles: list[float | None], state: StateVector) -> StateVector:

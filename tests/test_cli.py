@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from datacomplexity.cli import main
+from datacomplexity.config import ConfigProfile
 from datacomplexity.report import REPORT_SCHEMA_V1
 from datacomplexity.simulator import MAX_QUBITS
 from datacomplexity.synthetic import SyntheticSpec, generate, parse_synth_uri
@@ -74,7 +76,7 @@ SCALAR_FLOAT_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
 @pytest.mark.parametrize("field", SCALAR_FLOAT_FIELDS)
 def test_profile_non_finite_config_float_exit_4(field, value, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -82,6 +84,47 @@ def test_profile_non_finite_config_float_exit_4(field, value, tmp_path, capsys):
     code, _, err = run_cli(["profile", "synth:parity", "--config", str(path)], capsys)
     assert code == 4
     assert field in err
+
+
+def wrong_type_values(field):
+    """JSON values that do not fit the annotation of a config field."""
+    if field.type.startswith("tuple["):
+        default = list(getattr(ConfigProfile(), field.name))
+        return ["x", 0.5, [True] + default[1:], ["x"] + default[1:]]
+    return {
+        "int": [True, 2.5, "x", [1]],
+        "float": [True, "x", [1.0]],
+        "float | None": [True, "x"],
+        "str": [1, True, None],
+    }[field.type]
+
+
+WRONG_TYPES = [
+    pytest.param(f.name, value, id=f"{f.name}-{json.dumps(value)}")
+    for f in dataclasses.fields(ConfigProfile)
+    for value in wrong_type_values(f)
+]
+
+
+@pytest.mark.parametrize("field, value", WRONG_TYPES)
+def test_config_value_of_wrong_type_exit_4(field, value, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({field: value}))
+    code, out, err = run_cli(["profile", "synth:parity", "--config", str(path)], capsys)
+    assert code == 4
+    assert out == ""
+    assert f"invalid configuration: {field} must be of type" in err
+
+
+@pytest.mark.parametrize("config", ['{"bins_fidelity": 2.5}', '{"seed": "x"}', '{"seed": true}', '{"seed": -1}'])
+@pytest.mark.parametrize("verb", [["profile"], ["qprofile", "--map", "angle"]])
+def test_bad_config_values_exit_4_on_both_verbs(config, verb, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    code, out, err = run_cli([verb[0], "synth:parity", *verb[1:], "--config", str(path)], capsys)
+    assert code == 4
+    assert out == ""
+    assert json.loads(config).popitem()[0] in err
 
 
 def test_profile_circle_betti_dominant(capsys):
@@ -95,6 +138,16 @@ def test_profile_missing_file(capsys):
     code, _, err = run_cli(["profile", "/nonexistent/file.csv"], capsys)
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize("name", ["bad.csv", "bad.json"])
+def test_profile_undecodable_input_exit_2(name, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run_cli(["profile", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: {path}: not UTF-8 text")
 
 
 def test_profile_validates_against_schema(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from datacomplexity import qmetrics
 from datacomplexity.config import SeededRng
 from datacomplexity.errors import (
     ArityError,
@@ -15,6 +16,9 @@ from datacomplexity.errors import (
     OrderTooHigh,
 )
 from datacomplexity.qmetrics import (
+    _pair_rotations,
+    _product_pair_fidelities,
+    _statevector_pair_fidelities,
     GradientStudy,
     QuantumEnsemble,
     circuit_error_rate,
@@ -32,17 +36,25 @@ from datacomplexity.qmetrics import (
     quantum_interaction_order,
     quantum_mutual_information,
     reduced_entropies,
+    sample_fidelities,
     schmidt_rank,
     schmidt_spectra,
+    single_qubit_entropies,
     topological_entanglement_entropy,
     uniform_ensemble,
     von_neumann_entropy,
 )
 from datacomplexity.simulator import (
+    FIXED_GATES,
     MAX_QUBITS,
+    ROTATION_GATES,
     DensityMatrix,
+    FeatureMap,
     Gate,
     ParameterizedCircuit,
+    StateVector,
+    encoding_circuit,
+    gate_layout,
     partial_trace,
     random_layered_circuit,
     run_circuit,
@@ -103,6 +115,36 @@ def test_batched_entropies_match_density_matrix_path(n):
             for s, lam in zip(states, spectra):
                 ev = np.sort(partial_trace(s, keep).eigenvalues())[::-1][: lam.size]
                 assert lam == pytest.approx(ev, abs=1e-12)
+
+
+def ghz_amplitudes(n):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
+    return amps
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_single_qubit_entropies_match_partial_trace(n, monkeypatch):
+    """The 2x2 closed form gives every qubit's entropy of product, GHZ and
+    random layered states as the density-matrix path does, across row
+    chunks of 4 states (the last one short)."""
+    monkeypatch.setattr(qmetrics, "CHUNK_BYTES", 4 * 16 * 2**n)
+    rng = np.random.default_rng(70 + n)
+    product = np.ones(1, dtype=complex)
+    for _ in range(n):
+        # each factor is the next qubit, the most significant bit so far
+        factor = rng.normal(size=2) + 1j * rng.normal(size=2)
+        product = np.kron(factor / np.linalg.norm(factor), product)
+    states = [StateVector(n, product), StateVector(n, ghz_amplitudes(n))]
+    states += random_layered_states(n, 4, seed=80 + n)
+    amps = np.stack([s.amplitudes for s in states])
+    entropies = single_qubit_entropies(amps)
+    assert entropies.shape == (len(states), n)
+    expected = [[von_neumann_entropy(partial_trace(s, [q])) for q in range(n)] for s in states]
+    assert entropies == pytest.approx(np.array(expected), abs=1e-12)
+    assert entropies[0] == pytest.approx(np.zeros(n), abs=1e-12)
+    if n >= 2:
+        assert entropies[1] == pytest.approx(np.ones(n), abs=1e-12)
 
 
 def test_entropy_symmetry_over_bipartitions():
@@ -224,6 +266,13 @@ def test_quantum_interaction_order_examples(bell_state, ghz3_state, product_plus
     assert quantum_interaction_order(bell_state, 0.1) == 2
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_quantum_interaction_order_rejects_bad_epsilon(ghz3_state, epsilon):
+    assert quantum_interaction_order(ghz3_state, 0.1) == 3
+    with pytest.raises(InvalidConfig, match="epsilon"):
+        quantum_interaction_order(ghz3_state, epsilon)
+
+
 # ---------------------------------------------------------------------------
 # Haar fidelity distribution
 
@@ -281,6 +330,72 @@ def test_expressibility_layer_monotonicity_within_noise():
         values.append(expressibility_kl(circuit, 2000, 75, SeededRng(5)))
     for previous, current in zip(values, values[1:]):
         assert current <= previous + max(0.1 * previous, 0.05)
+
+
+def random_product_circuit(n, n_gates, rng):
+    """Random single-qubit gates only: RX/RY/RZ by parameter slot or fixed
+    angle and H/X/Y/Z, possibly leaving qubits without a gate."""
+    gates, slots = [], 0
+    for _ in range(n_gates):
+        q = int(rng.integers(n))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            gates.append(Gate(ROTATION_GATES[rng.integers(3)], (q,), param_slot=slots))
+            slots += 1
+        elif kind == 1:
+            gates.append(Gate(ROTATION_GATES[rng.integers(3)], (q,), angle=float(rng.uniform(-7, 7))))
+        else:
+            gates.append(Gate(sorted(FIXED_GATES)[rng.integers(len(FIXED_GATES))], (q,)))
+    return ParameterizedCircuit(n, tuple(gates), slots)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_product_fidelities_match_statevector_path(case):
+    """Per-qubit overlaps give the fidelities run_batch's statevectors give,
+    for circuits without CNOT/CZ."""
+    rng = np.random.default_rng(500 + case)
+    n = int(rng.integers(1, 7))
+    circuit = random_product_circuit(n, int(rng.integers(0, 3 * n + 1)), rng)
+    axes, angles = _pair_rotations(circuit, 150, SeededRng(case))
+    layout = gate_layout(circuit)
+    product = _product_pair_fidelities(n, layout, axes, angles)
+    full = _statevector_pair_fidelities(n, layout, axes, angles)
+    assert np.max(np.abs(product - full)) <= 1e-12
+    assert np.array_equal(sample_fidelities(circuit, 150, SeededRng(case)), product)
+
+
+def test_parameter_free_product_circuit_has_unit_fidelities():
+    circuit = ParameterizedCircuit(3, (Gate("H", (0,)), Gate("RX", (2,), angle=0.4)), 0)
+    assert circuit.n_params == 0
+    assert sample_fidelities(circuit, 100, SeededRng(0)) == pytest.approx(np.ones(100), abs=1e-12)
+
+
+def test_entangling_circuit_keeps_statevector_path():
+    circuit = random_layered_circuit(3, 2, SeededRng(9).generator())
+    axes, angles = _pair_rotations(circuit, 100, SeededRng(4))
+    full = _statevector_pair_fidelities(3, gate_layout(circuit), axes, angles)
+    assert np.array_equal(sample_fidelities(circuit, 100, SeededRng(4)), full)
+
+
+# expressibility_kl of the angle encoding circuit (1000 samples, 75 bins) as
+# the full-statevector sampler computes it
+ENCODING_KL = {
+    (8, 0): 0.30810903484682867,
+    (8, 3): 0.21295727219108448,
+    (8, 7): 0.33823935157355417,
+    (11, 0): 0.1105976034944815,
+    (11, 3): 0.05456246541920801,
+    (11, 7): 0.18277512875854504,
+    (14, 0): 7.341482314312997e-08,
+    (14, 3): 7.341482314312997e-08,
+    (14, 7): 7.341482314312997e-08,
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(ENCODING_KL))
+def test_encoding_circuit_expressibility_unchanged(n, seed):
+    circuit = encoding_circuit(FeatureMap("angle", n), n)
+    assert expressibility_kl(circuit, 1000, 75, SeededRng(seed)) == ENCODING_KL[n, seed]
 
 
 def test_expressibility_sample_floor():

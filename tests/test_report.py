@@ -42,7 +42,9 @@ def test_qprofile_report_round_trip_lossless():
 def test_qprofile_computes_each_quantity_once(monkeypatch):
     """One profile_quantum pass embeds once, builds one fidelity Gram and
     runs Rips once; both composites read the shared results. The rows are
-    encoded as one array and no per-state density matrix is formed."""
+    encoded as one array and no per-state density matrix is formed. The
+    angle map's expressibility runs no statevector and the TEE of the pure
+    ensemble is not evaluated."""
     expected = {
         "embed_dataset": 1,
         "ensemble_gram": 1,
@@ -51,6 +53,8 @@ def test_qprofile_computes_each_quantity_once(monkeypatch):
         "encode": 0,
         "partial_trace": 0,
         "von_neumann_entropy": 0,
+        "run_batch": 0,
+        "topological_entanglement_entropies": 0,
     }
     counted = {
         "embed_dataset": scoring.embed_dataset,
@@ -60,6 +64,8 @@ def test_qprofile_computes_each_quantity_once(monkeypatch):
         "encode": simulator.encode,
         "partial_trace": simulator.partial_trace,
         "von_neumann_entropy": qmetrics.von_neumann_entropy,
+        "run_batch": simulator.run_batch,
+        "topological_entanglement_entropies": qmetrics.topological_entanglement_entropies,
     }
     calls = Counter()
 

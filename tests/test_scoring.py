@@ -13,7 +13,12 @@ from datacomplexity.errors import (
     InvalidConfig,
     MissingMetric,
 )
-from datacomplexity.qmetrics import GradientStudy, ensemble_gram, uniform_ensemble
+from datacomplexity.qmetrics import (
+    GradientStudy,
+    ensemble_gram,
+    topological_entanglement_entropies,
+    uniform_ensemble,
+)
 from datacomplexity.report import profile_quantum
 from datacomplexity.scoring import (
     MetricVector,
@@ -210,7 +215,8 @@ def test_phase_ring_has_loop():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_tee_vanishes_on_pure_states_with_covering_tripartition(n):
     """S_AB = S_C, S_BC = S_A, S_AC = S_B and S_ABC = 0 for a pure state, so
-    the tripartite combination is 0 up to rounding on entangled ensembles."""
+    the tripartite combination is 0 up to rounding on entangled ensembles,
+    and the topology detail records it as exactly 0."""
     rng = SeededRng(60 + n).generator()
     states = []
     for _ in range(6):
@@ -218,8 +224,9 @@ def test_tee_vanishes_on_pure_states_with_covering_tripartition(n):
         states.append(run_circuit(circuit, rng.uniform(0, 2 * math.pi, circuit.n_params)))
     e = uniform_ensemble(states)
     assert mean_bipartite_entropy(e) > 0.1  # the states are entangled
-    detail = quantum_topology_detail(e, ensemble_gram(e), CFG)
-    assert abs(detail.s_topo) <= 1e-12
+    tee = topological_entanglement_entropies(e.amplitudes, *default_tripartition(n))
+    assert np.max(np.abs(tee)) <= 1e-12
+    assert quantum_topology_detail(e, ensemble_gram(e), CFG).s_topo == 0.0
 
 
 def test_default_tripartition_covers_register():

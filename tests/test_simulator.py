@@ -36,6 +36,7 @@ from datacomplexity.simulator import (
     rotation_matrix,
     run_batch,
     run_circuit,
+    run_product_batch,
     zero_state,
 )
 
@@ -215,6 +216,32 @@ def test_engine_batch_matches_dense_oracle(n, monkeypatch):
                     assert abs(values[p][k] - np.vdot(dense, full_pauli(p) @ dense).real) <= 1e-12
                 seen.append(j)
         assert seen == list(range(8))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_product_engine_matches_dense_oracle(n):
+    """Without CNOT/CZ, the kron of a column's per-qubit factors is the state
+    the dense oracle gives, phase included; a qubit with no gate stays |0>."""
+    rng = SeededRng(350 + n).generator()
+    circuit = random_gate_circuit(rng, n, n_gates=2 * n)
+    circuit = ParameterizedCircuit(n, tuple(g for g in circuit.gates if len(g.qubits) == 1), circuit.n_params)
+    n_rotations = sum(g.name in ROTATION_GATES for g in circuit.gates)
+    axes = rng.integers(0, 3, size=(n_rotations, 6)).astype(np.int8)
+    angles = rng.uniform(-2 * math.pi, 2 * math.pi, size=axes.shape)
+    factors = run_product_batch(n, gate_layout(circuit), axes, angles)
+    assert factors.shape == (n, 2, 6)
+    for j in range(6):
+        state = np.ones(1)
+        for q in range(n):
+            state = np.kron(factors[q, :, j], state)
+        dense = circuit_unitary(column_circuit(circuit, axes[:, j], angles[:, j]), []) @ zero_state(n).amplitudes
+        assert np.max(np.abs(state - dense)) <= 1e-12
+
+
+def test_product_engine_rejects_entangling_layout():
+    layout = (("H", (0,)), ("CNOT", (0, 1)))
+    with pytest.raises(ArityError):
+        run_product_batch(2, layout, np.zeros((0, 1), dtype=np.int8), np.zeros((0, 1)))
 
 
 def test_engine_rejects_bad_norm():
