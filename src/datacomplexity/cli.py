@@ -87,10 +87,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_inputs(args) -> tuple[ConfigProfile, "Dataset"]:
+def _load_config(args) -> ConfigProfile:
+    """The --config file (or the defaults), with --seed applied, validated."""
     cfg = load_config(args.config) if args.config else validate_config(ConfigProfile())
     if args.seed is not None:
         cfg = validate_config(dataclasses.replace(cfg, seed=args.seed))
+    return cfg
+
+
+def _load_inputs(args) -> tuple[ConfigProfile, "Dataset"]:
+    cfg = _load_config(args)
     if args.input.startswith("synth:"):
         spec = parse_synth_uri(args.input, default_seed=cfg.seed)
         ds = generate(spec)
@@ -138,9 +144,7 @@ def _cmd_qprofile(args) -> int:
 
 
 def _cmd_barren(args) -> int:
-    cfg = load_config(args.config) if args.config else validate_config(ConfigProfile())
-    if args.seed is not None:
-        cfg = validate_config(dataclasses.replace(cfg, seed=args.seed))
+    cfg = _load_config(args)
     study, report = barren_study_report(
         args.n_min, args.n_max, args.depth, args.samples, args.cost, cfg
     )

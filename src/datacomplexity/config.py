@@ -159,6 +159,11 @@ def _finite(value) -> bool:
         return False
 
 
+# Checked before any allocation: the fidelity histogram holds one count per
+# bin, and the expressibility sampler runs two states per sample.
+MAX_FIDELITY_BINS = 1 << 16
+MAX_EXPRESSIBILITY_SAMPLES = 1 << 16
+
 WEIGHT_GROUPS = ("lambda_weights", "alpha_weights", "beta_weights", "gamma_weights", "w_topology")
 
 GROUP_SIZES = {
@@ -174,8 +179,8 @@ def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> Conf
 
     Raises :class:`InvalidConfig` on a value whose type does not fit its
     field's annotation, non-finite or negative weights, an all-zero weight
-    group, a non-finite float field, non-positive thresholds, a negative
-    seed, or an unsupported homology dimension.
+    group, a non-finite float field, non-positive thresholds, bin or sample
+    counts out of range, a negative seed, or an unsupported homology dimension.
     """
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
@@ -213,14 +218,14 @@ def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> Conf
         raise InvalidConfig("max_homology_dim must be 0, 1 or 2")
     if cfg.rips_max_scale is not None and cfg.rips_max_scale < 0:
         raise InvalidConfig("rips_max_scale must be >= 0")
-    if cfg.bins_entropy < 1 or cfg.bins_fidelity < 1:
-        raise InvalidConfig("bin counts must be >= 1")
+    if cfg.bins_entropy < 1 or not 1 <= cfg.bins_fidelity <= MAX_FIDELITY_BINS:
+        raise InvalidConfig(f"bin counts must be >= 1, and bins_fidelity <= {MAX_FIDELITY_BINS}")
     if not 0.0 <= cfg.euler_scale_fraction <= 1.0:
         raise InvalidConfig("euler_scale_fraction must lie in [0, 1]")
     if cfg.rips_point_cap < 1:
         raise InvalidConfig("rips_point_cap must be >= 1")
-    if cfg.expressibility_samples < 100:
-        raise InvalidConfig("expressibility_samples must be >= 100")
+    if not 100 <= cfg.expressibility_samples <= MAX_EXPRESSIBILITY_SAMPLES:
+        raise InvalidConfig(f"expressibility_samples must lie in 100..{MAX_EXPRESSIBILITY_SAMPLES}")
     if cfg.seed < 0:
         raise InvalidConfig("seed must be >= 0")
 

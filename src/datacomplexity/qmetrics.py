@@ -28,23 +28,19 @@ from .errors import (
 from .simulator import (
     CHUNK_BYTES,
     MAX_QUBITS,
-    ROTATION_GATES,
     DensityMatrix,
     ParameterizedCircuit,
     StateVector,
     _require_unit_norms,
     bipartition,
     expectation,
-    gate_layout,
     is_entangling,
+    layered_axes,
+    layered_layout,
     partial_trace,
     partial_trace_density,
     pauli_expectations,
     popcount_table,
-    random_layered_circuit,
-    resolve_angles,
-    rotation_angles,
-    rotation_axes,
     run_batch,
     run_product_batch,
 )
@@ -52,6 +48,10 @@ from .simulator import (
 CORRELATOR_ORDER_CAP = 4
 SCHMIDT_TOL = 1e-10
 KL_SMOOTHING = 1e-9
+# Largest n * depth * n_samples of a gradient study. Per rotation of a sample
+# the study holds an int8 axis and a float64 angle, then both again for the
+# two parameter-shift copies (27 bytes): 2^22 rotations stay under 115 MiB.
+MAX_STUDY_ROTATIONS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,13 +312,8 @@ def _pair_rotations(c: ParameterizedCircuit, n_samples: int, rng: SeededRng) -> 
     if c.n_params:
         for i in range(n_samples):
             params[i] = rng.child(i).uniform(0.0, 2.0 * math.pi, size=(2, c.n_params))
-    params = params.reshape(2 * n_samples, c.n_params).T
-    rotations = [g for g in c.gates if g.name in ROTATION_GATES]
-    angles = np.empty((len(rotations), 2 * n_samples))
-    for r, g in enumerate(rotations):
-        angles[r] = params[g.param_slot] if g.param_slot is not None else g.angle
-    axes = np.repeat(rotation_axes(c)[:, None], 2 * n_samples, axis=1)
-    return axes, angles
+    angles = c.rotation_angles(params.reshape(2 * n_samples, c.n_params).T)
+    return np.repeat(c.axes[:, None], 2 * n_samples, axis=1), angles
 
 
 def _statevector_pair_fidelities(n: int, layout, axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -349,10 +344,9 @@ def sample_fidelities(c: ParameterizedCircuit, n_samples: int, rng: SeededRng) -
     2i + 1 (phi).
     """
     axes, angles = _pair_rotations(c, n_samples, rng)
-    layout = gate_layout(c)
-    if is_entangling(layout):
-        return _statevector_pair_fidelities(c.n_qubits, layout, axes, angles)
-    return _product_pair_fidelities(c.n_qubits, layout, axes, angles)
+    if is_entangling(c.layout):
+        return _statevector_pair_fidelities(c.n_qubits, c.layout, axes, angles)
+    return _product_pair_fidelities(c.n_qubits, c.layout, axes, angles)
 
 
 def expressibility_kl(c: ParameterizedCircuit, n_samples: int, bins: int, rng: SeededRng) -> float:
@@ -372,17 +366,6 @@ def expressibility_kl(c: ParameterizedCircuit, n_samples: int, bins: int, rng: S
     masses = haar_bin_masses(c.n_qubits, bins)
     q = (masses + KL_SMOOTHING) / (masses.sum() + bins * KL_SMOOTHING)
     return float(np.sum(p * np.log(p / q)))
-
-
-def _occurrence_rows(c: ParameterizedCircuit, k: int) -> list[int]:
-    """Rotation rows (order among the rotation gates) that read parameter k."""
-    if k < 0 or k >= c.n_params:
-        raise ArityError(f"parameter index {k} out of range (n_params={c.n_params})")
-    rotations = [g for g in c.gates if g.name in ROTATION_GATES]
-    rows = [r for r, g in enumerate(rotations) if g.param_slot == k]
-    if not rows:
-        raise ArityError(f"parameter {k} does not index a rotation gate")
-    return rows
 
 
 def _shift_gradients(n: int, layout, axes, angles, rows, cost_pauli: str, coeff: float) -> np.ndarray:
@@ -414,13 +397,11 @@ def gradient(c: ParameterizedCircuit, theta, cost_pauli: str, k: int, coeff: flo
     Each occurrence of the slot contributes (C(+pi/2) - C(-pi/2)) / 2 with
     only that gate shifted; the single-occurrence case is the textbook rule.
     """
-    rows = _occurrence_rows(c, k)
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if theta.size != c.n_params:
-        raise ArityError(f"circuit takes {c.n_params} parameters, got {theta.size}")
-    angles = rotation_angles(c, resolve_angles(c, theta))[:, None]
-    axes = rotation_axes(c)[:, None]
-    return float(_shift_gradients(c.n_qubits, gate_layout(c), axes, angles, rows, cost_pauli, coeff)[0])
+    angles = c.rotation_angles(theta)[:, None]
+    rows = np.flatnonzero((c.slots == k) & (c.slots >= 0))  # empty unless k is in 0..n_params-1
+    if not rows.size:
+        raise ArityError(f"parameter index {k} out of range (n_params={c.n_params})")
+    return float(_shift_gradients(c.n_qubits, c.layout, c.axes[:, None], angles, rows, cost_pauli, coeff)[0])
 
 
 def pure_state_qfi(c: ParameterizedCircuit, theta, k: int) -> float:
@@ -430,18 +411,16 @@ def pure_state_qfi(c: ParameterizedCircuit, theta, k: int) -> float:
     occurrence of the slot by pi gives twice its contribution to |dpsi>.
     State and shifted states run as one batch.
     """
-    rows = _occurrence_rows(c, k)
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    base = rotation_angles(c, resolve_angles(c, theta))
+    base = c.rotation_angles(theta)
+    rows = np.flatnonzero((c.slots == k) & (c.slots >= 0))  # empty unless k is in 0..n_params-1
+    if not rows.size:
+        raise ArityError(f"parameter index {k} out of range (n_params={c.n_params})")
     angles = np.repeat(base[:, None], 1 + len(rows), axis=1)
-    for j, r in enumerate(rows, start=1):
-        angles[r, j] += math.pi
-    axes = np.repeat(rotation_axes(c)[:, None], 1 + len(rows), axis=1)
-    ((_, block),) = run_batch(c.n_qubits, gate_layout(c), axes, angles, group=1 + len(rows))
+    angles[rows, np.arange(1, 1 + len(rows))] += math.pi
+    axes = np.repeat(c.axes[:, None], 1 + len(rows), axis=1)
+    ((_, block),) = run_batch(c.n_qubits, c.layout, axes, angles, group=1 + len(rows))
     psi = block[:, 0]
-    deriv = np.zeros_like(psi)
-    for j in range(1, 1 + len(rows)):
-        deriv += 0.5 * block[:, j]
+    deriv = 0.5 * block[:, 1:].sum(axis=1)
     overlap = np.vdot(psi, deriv)
     qfi = 4.0 * (float(np.vdot(deriv, deriv).real) - abs(overlap) ** 2)
     return max(qfi, 0.0)
@@ -485,11 +464,13 @@ def gradient_variance_study(
 ) -> GradientStudy:
     """Sampled variance of the first parameter's gradient versus qubit count.
 
-    Per sample, a fresh random layered circuit and a uniform parameter vector
-    are drawn from a child stream keyed by (n, sample); the fitted slope is
-    the least-squares slope of ln Var against n. Qubit counts lie in
-    1..MAX_QUBITS. The samples of one n keep only their rotation axes and
-    angles, and all their parameter-shift states run as one batch.
+    Per sample, the rotation axes of a layered circuit (layered_axes), then
+    uniform angles are drawn from a child stream keyed by (n, sample) straight
+    into the axis and angle arrays of layered_layout(n, depth); the first
+    parameter is rotation 0, and all parameter-shift states of one n run as
+    one batch. The fitted slope is the least-squares slope of ln Var against
+    n. Qubit counts lie in 1..MAX_QUBITS; n * depth * n_samples at most
+    MAX_STUDY_ROTATIONS.
     """
     n_range = tuple(int(n) for n in n_range)
     if not n_range:
@@ -500,22 +481,21 @@ def gradient_variance_study(
         raise InvalidConfig("depth must be >= 1")
     if n_samples < 200:
         raise InvalidConfig("n_samples must be >= 200")
+    if max(n_range) * depth * n_samples > MAX_STUDY_ROTATIONS:
+        raise InvalidConfig(f"n * depth * n_samples must be <= {MAX_STUDY_ROTATIONS}")
     if cost_kind not in ("global", "local"):
         raise InvalidConfig(f"unknown cost kind {cost_kind!r}")
 
     variances = []
     for n in n_range:
         cost = global_cost_pauli(n) if cost_kind == "global" else local_cost_pauli(n)
-        axes, angles = [], []
+        axes = np.empty((n_samples, n * depth), dtype=np.int8)
+        angles = np.empty((n_samples, n * depth))
         for i in range(n_samples):
             gen = rng.child(n, i)
-            circuit = random_layered_circuit(n, depth, gen)
-            theta = gen.uniform(0.0, 2.0 * math.pi, size=circuit.n_params)
-            axes.append(rotation_axes(circuit))
-            angles.append(rotation_angles(circuit, resolve_angles(circuit, theta)))
-        # every layered circuit of one (n, depth) has the same gate layout
-        layout, rows = gate_layout(circuit), _occurrence_rows(circuit, 0)
-        grads = _shift_gradients(n, layout, np.stack(axes, axis=1), np.stack(angles, axis=1), rows, cost, 1.0)
+            axes[i] = layered_axes(n, depth, gen)
+            angles[i] = gen.uniform(0.0, 2.0 * math.pi, size=n * depth)
+        grads = _shift_gradients(n, layered_layout(n, depth), axes.T, angles.T, (0,), cost, 1.0)
         variances.append(float(np.var(grads)))
 
     ns = np.asarray(n_range, dtype=np.float64)

@@ -201,7 +201,7 @@ class _Timer:
         return out
 
 
-def _diagram_summary(diagram, w_topology) -> dict:
+def _diagram_summary(diagram) -> dict:
     h0 = diagram.bars(0)
     h1 = diagram.bars(1)
     max_h0_finite = max((b.lifetime for b in h0 if not b.infinite), default=0.0)
@@ -284,8 +284,7 @@ def profile_classical(ds: Dataset, cfg: ConfigProfile, use_standardized: bool = 
 
     def _topo():
         dm = distance_matrix_from_points(work.matrix)
-        max_scale = cfg.rips_max_scale if cfg.rips_max_scale is not None else dm.diameter()
-        filtration = rips_filtration(dm, max_scale=max_scale, max_dim=cfg.max_homology_dim, point_cap=cfg.rips_point_cap)
+        filtration = rips_filtration(dm, max_scale=cfg.rips_max_scale, max_dim=cfg.max_homology_dim, point_cap=cfg.rips_point_cap)
         return persistence_diagram(filtration), dm.diameter()
 
     topo = attempt("persistence", _topo)
@@ -295,7 +294,7 @@ def profile_classical(ds: Dataset, cfg: ConfigProfile, use_standardized: bool = 
         c_top = topological_complexity(diagram, cfg.w_topology)
         top_bound = max(sum(cfg.w_topology) * n * max(diameter, 1e-12), 1e-12)
         mv.add("topological_complexity", c_top, (0.0, top_bound))
-        topology_summary = _diagram_summary(diagram, cfg.w_topology)
+        topology_summary = _diagram_summary(diagram)
 
     composites = []
     resource = None

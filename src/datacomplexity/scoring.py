@@ -250,10 +250,9 @@ def quantum_topology_detail(e: QuantumEnsemble, gram: np.ndarray, cfg: ConfigPro
     evaluates the combination for any blocks).
     """
     dm = DistanceMatrix(values=fidelity_distances(gram))
-    max_scale = cfg.rips_max_scale if cfg.rips_max_scale is not None else dm.diameter()
-    filtration = rips_filtration(dm, max_scale=max_scale, max_dim=cfg.max_homology_dim, point_cap=cfg.rips_point_cap)
+    filtration = rips_filtration(dm, max_scale=cfg.rips_max_scale, max_dim=cfg.max_homology_dim, point_cap=cfg.rips_point_cap)
     diagram = persistence_diagram(filtration)
-    euler_scale = cfg.euler_scale_fraction * max_scale
+    euler_scale = cfg.euler_scale_fraction * diagram.max_scale
     euler = euler_characteristic(diagram, euler_scale)
     pers = sum(total_persistence(diagram, k) for k in range(cfg.max_homology_dim + 1))
     return QuantumTopologyDetail(

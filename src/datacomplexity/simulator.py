@@ -11,12 +11,12 @@ channels (the gate-error model is a closed-form expression elsewhere).
 
 Circuits run on one batched engine, run_batch. A block holds B states as a
 (2^n, B) complex array with the sample axis last and contiguous; the B
-circuits share one gate layout (gate_layout) and differ only in the axis and
-angle of each rotation. Rotations are a two-term elementwise update with
-per-column (2, 2, B) coefficients; each maximal run of consecutive CNOT/CZ
-gates is folded into one cached index permutation and sign mask, so the CNOT
-ladder of a layered-ansatz layer is one gather; Z-string expectations are
-signs @ |amps|^2 over a cached parity table. Columns run in chunks whose
+circuits share one gate layout (ParameterizedCircuit.layout) and differ only
+in the axis and angle of each rotation. Rotations are a two-term elementwise
+update with per-column (2, 2, B) coefficients; each maximal run of
+consecutive CNOT/CZ gates is folded into one cached index permutation and
+sign mask, so the CNOT ladder of a layered-ansatz layer is one gather;
+Z-string expectations are signs @ |amps|^2 over a cached parity table. Columns run in chunks whose
 block and spare buffer together hold CHUNK_BYTES (1 MiB) of amplitudes, so a
 chunk stays in L2 cache. run_with_angles is a one-column call into it.
 A layout without CNOT/CZ (is_entangling is False) leaves |0...0> a product
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -161,12 +161,24 @@ class Gate:
 
 @dataclass(frozen=True)
 class ParameterizedCircuit:
+    """A gate list and its rotation table, built once with the circuit.
+
+    `layout` is the gate list with every rotation named "R"; circuits with
+    equal layouts run in one batch. Rotation r, in gate order, has axis code
+    axes[r] (an index into ROTATION_GATES) and reads parameter slots[r], or
+    the fixed angle fixed_angles[r] where slots[r] is -1.
+    """
+
     n_qubits: int
     gates: tuple[Gate, ...]
     n_params: int
+    layout: tuple = field(init=False, repr=False, compare=False)
+    axes: np.ndarray = field(init=False, repr=False, compare=False)
+    slots: np.ndarray = field(init=False, repr=False, compare=False)
+    fixed_angles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slots = set()
+        layout, rotations = [], []
         for g in self.gates:
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
                 raise ArityError(f"gate {g.name} addresses qubit out of range: {g.qubits}")
@@ -178,14 +190,35 @@ class ParameterizedCircuit:
             if g.name in ROTATION_GATES:
                 if (g.param_slot is None) == (g.angle is None):
                     raise ArityError("rotation gates need exactly one of param_slot/angle")
-                if g.param_slot is not None:
-                    slots.add(g.param_slot)
+                slot = -1 if g.param_slot is None else g.param_slot
+                rotations.append((ROTATION_GATES.index(g.name), slot, 0.0 if g.angle is None else g.angle))
             elif g.param_slot is not None or g.angle is not None:
                 raise ArityError(f"{g.name} takes no parameter")
-        if slots and slots != set(range(self.n_params)):
+            layout.append(("R" if g.name in ROTATION_GATES else g.name, g.qubits))
+        used = {slot for _, slot, _ in rotations if slot >= 0}
+        if used and used != set(range(self.n_params)):
             raise ArityError("parameter slots must be contiguous 0..n_params-1")
-        if not slots and self.n_params != 0:
+        if not used and self.n_params != 0:
             raise ArityError("n_params > 0 but no parameterized gate present")
+        axes, slots, angles = zip(*rotations) if rotations else ((), (), ())
+        object.__setattr__(self, "layout", tuple(layout))
+        for name, values, dtype in (("axes", axes, np.int8), ("slots", slots, np.int64), ("fixed_angles", angles, float)):
+            table = np.array(values, dtype=dtype)
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+
+    def rotation_angles(self, theta) -> np.ndarray:
+        """The angle of every rotation for parameters theta of shape (P,) or
+        (P, B): (R,) or (R, B), slot rotations read from theta and fixed ones
+        broadcast. The one check of theta's length against n_params."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.ndim not in (1, 2) or theta.shape[0] != self.n_params:
+            raise ArityError(f"circuit takes {self.n_params} parameters, got theta of shape {theta.shape}")
+        free = self.slots >= 0
+        angles = np.empty(self.slots.shape + theta.shape[1:])
+        angles[free] = theta[self.slots[free]]
+        angles[~free] = self.fixed_angles[~free].reshape((-1,) + (1,) * (theta.ndim - 1))
+        return angles
 
     def to_json_obj(self) -> dict:
         recs = []
@@ -213,33 +246,6 @@ class ParameterizedCircuit:
             for rec in obj["gates"]
         )
         return cls(n_qubits=obj["n_qubits"], gates=gates, n_params=obj["n_params"])
-
-
-def resolve_angles(c: ParameterizedCircuit, theta: np.ndarray) -> list[float | None]:
-    """Concrete angle per gate record (None for non-rotations)."""
-    angles: list[float | None] = []
-    for g in c.gates:
-        if g.name in ROTATION_GATES:
-            angles.append(float(theta[g.param_slot]) if g.param_slot is not None else g.angle)
-        else:
-            angles.append(None)
-    return angles
-
-
-def gate_layout(c: ParameterizedCircuit) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """The gate list with every rotation named "R": circuits with equal
-    layouts run in one batch, each with its own rotation axes and angles."""
-    return tuple(("R" if g.name in ROTATION_GATES else g.name, g.qubits) for g in c.gates)
-
-
-def rotation_axes(c: ParameterizedCircuit) -> np.ndarray:
-    """Axis code (index into ROTATION_GATES) of every rotation gate, in gate order."""
-    return np.array([ROTATION_GATES.index(g.name) for g in c.gates if g.name in ROTATION_GATES], dtype=np.int8)
-
-
-def rotation_angles(c: ParameterizedCircuit, angles: list[float | None]) -> np.ndarray:
-    """The rotation entries of a per-gate angle list, in gate order."""
-    return np.array([a for g, a in zip(c.gates, angles) if g.name in ROTATION_GATES], dtype=np.float64)
 
 
 # R(theta) = cos(theta/2) I + sin(theta/2) G for the axis's G = -i P:
@@ -411,24 +417,20 @@ def run_product_batch(n_qubits: int, layout, axes: np.ndarray, angles: np.ndarra
     return factors
 
 
-def run_with_angles(c: ParameterizedCircuit, angles: list[float | None], state: StateVector) -> StateVector:
-    """Apply the gate list with pre-resolved angles: one column through run_batch."""
-    axes = rotation_axes(c)[:, None]
-    rows = rotation_angles(c, angles)[:, None]
-    ((_, block),) = run_batch(c.n_qubits, gate_layout(c), axes, rows, start=state.amplitudes)
+def run_with_angles(c: ParameterizedCircuit, angles: np.ndarray, state: StateVector) -> StateVector:
+    """Apply the gate list with rotation r by angles[r], (R,): one column through run_batch."""
+    ((_, block),) = run_batch(c.n_qubits, c.layout, c.axes[:, None], angles[:, None], start=state.amplitudes)
     return StateVector(n_qubits=c.n_qubits, amplitudes=block[:, 0])
 
 
 def run_circuit(c: ParameterizedCircuit, theta, state: StateVector | None = None) -> StateVector:
     """Apply every gate in order to `state` (default |0...0>)."""
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if theta.size != c.n_params:
-        raise ArityError(f"circuit takes {c.n_params} parameters, got {theta.size}")
+    angles = c.rotation_angles(theta)
     if state is None:
         state = zero_state(c.n_qubits)
     if state.n_qubits != c.n_qubits:
         raise ArityError("state and circuit qubit counts differ")
-    return run_with_angles(c, resolve_angles(c, theta), state)
+    return run_with_angles(c, angles, state)
 
 
 @dataclass(frozen=True)
@@ -619,23 +621,33 @@ def expectation(state: StateVector, pauli: str, coeff: float = 1.0) -> float:
     return coeff * float(pauli_expectations(state.amplitudes[:, None], pauli)[0])
 
 
+@lru_cache(maxsize=64)
+def layered_layout(n_qubits: int, depth: int) -> tuple:
+    """Gate layout of the layered ansatz: per layer one rotation per qubit,
+    then a CNOT ladder (q, q+1). Its rotation r reads parameter slot r."""
+    if n_qubits < 1 or depth < 1:
+        raise InvalidConfig("need n_qubits >= 1 and depth >= 1")
+    layer = tuple(("R", (q,)) for q in range(n_qubits)) + tuple(("CNOT", (q, q + 1)) for q in range(n_qubits - 1))
+    return layer * depth
+
+
+def layered_axes(n_qubits: int, depth: int, gen: np.random.Generator) -> np.ndarray:
+    """Axis codes (n_qubits * depth,) of one layered circuit: per layer gen.integers(0, 3, size=n_qubits)."""
+    return np.concatenate([gen.integers(0, 3, size=n_qubits) for _ in range(depth)])
+
+
 def random_layered_circuit(n_qubits: int, depth: int, rng) -> ParameterizedCircuit:
-    """Hardware-efficient ansatz: per layer one random-axis rotation per qubit
-    (axis uniform over RX/RY/RZ), then a CNOT ladder (q, q+1).
+    """Hardware-efficient ansatz: layered_layout with the axes of layered_axes.
 
     `rng` is a numpy Generator or anything exposing `.generator()` (SeededRng).
     """
-    if n_qubits < 1 or depth < 1:
-        raise InvalidConfig("need n_qubits >= 1 and depth >= 1")
-    if hasattr(rng, "generator"):
-        rng = rng.generator()
-    gates: list[Gate] = []
-    slot = 0
-    for _ in range(depth):
-        axes = rng.integers(0, 3, size=n_qubits)
-        for q in range(n_qubits):
-            gates.append(Gate(name=ROTATION_GATES[axes[q]], qubits=(q,), param_slot=slot))
+    layout = layered_layout(n_qubits, depth)
+    axes = layered_axes(n_qubits, depth, rng.generator() if hasattr(rng, "generator") else rng)
+    gates, slot = [], 0
+    for name, qubits in layout:
+        if name == "R":
+            gates.append(Gate(name=ROTATION_GATES[axes[slot]], qubits=qubits, param_slot=slot))
             slot += 1
-        for q in range(n_qubits - 1):
-            gates.append(Gate(name="CNOT", qubits=(q, q + 1)))
+        else:
+            gates.append(Gate(name=name, qubits=qubits))
     return ParameterizedCircuit(n_qubits=n_qubits, gates=tuple(gates), n_params=slot)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -301,6 +302,36 @@ def test_barren_invalid_arguments_exit_4(bad, capsys):
     code, _, err = run_cli(["barren", "--samples", "200", *bad], capsys)
     assert code == 4
     assert "invalid configuration" in err
+
+
+def run_cli_peak(argv, capsys):
+    """run_cli, and the peak bytes of the allocations traced during the call."""
+    tracemalloc.start()
+    try:
+        return run_cli(argv, capsys), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("bad", [["--samples", str(10**12)], ["--depth", str(10**12)]])
+def test_barren_size_limit_exit_4_before_allocating(bad, capsys):
+    (code, out, err), peak = run_cli_peak(["barren", *bad], capsys)
+    assert code == 4
+    assert out == ""
+    assert "n * depth * n_samples" in err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("field", ["bins_fidelity", "expressibility_samples"])
+def test_huge_sampling_config_exit_4_before_allocating(field, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({field: 2**40}))
+    argv = ["qprofile", "synth:gaussian_blob:n=16,d=3", "--map", "angle", "--config", str(path)]
+    (code, out, err), peak = run_cli_peak(argv, capsys)
+    assert code == 4
+    assert out == ""
+    assert field in err
+    assert peak < 1 << 20
 
 
 def test_barren_deterministic_csv(tmp_path, capsys):

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from datacomplexity.config import (
+    MAX_EXPRESSIBILITY_SAMPLES,
+    MAX_FIDELITY_BINS,
     ConfigProfile,
     SeededRng,
     fnv1a64,
@@ -57,6 +59,17 @@ def test_normalized_groups_sum_to_one(weights):
     cfg = dataclasses.replace(ConfigProfile(), lambda_weights=tuple(weights))
     out = validate_config(cfg, normalize_weights=True)
     assert sum(out.lambda_weights) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "field, limit",
+    [("bins_fidelity", MAX_FIDELITY_BINS), ("expressibility_samples", MAX_EXPRESSIBILITY_SAMPLES)],
+)
+def test_sampling_sizes_bounded_above(field, limit):
+    at_limit = dataclasses.replace(ConfigProfile(), **{field: limit})
+    assert validate_config(at_limit) == at_limit
+    with pytest.raises(InvalidConfig, match=field):
+        validate_config(dataclasses.replace(ConfigProfile(), **{field: limit + 1}))
 
 
 def test_fnv1a64_known_vectors():

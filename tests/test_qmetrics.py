@@ -54,7 +54,6 @@ from datacomplexity.simulator import (
     ParameterizedCircuit,
     StateVector,
     encoding_circuit,
-    gate_layout,
     partial_trace,
     random_layered_circuit,
     run_circuit,
@@ -357,7 +356,7 @@ def test_product_fidelities_match_statevector_path(case):
     n = int(rng.integers(1, 7))
     circuit = random_product_circuit(n, int(rng.integers(0, 3 * n + 1)), rng)
     axes, angles = _pair_rotations(circuit, 150, SeededRng(case))
-    layout = gate_layout(circuit)
+    layout = circuit.layout
     product = _product_pair_fidelities(n, layout, axes, angles)
     full = _statevector_pair_fidelities(n, layout, axes, angles)
     assert np.max(np.abs(product - full)) <= 1e-12
@@ -373,7 +372,7 @@ def test_parameter_free_product_circuit_has_unit_fidelities():
 def test_entangling_circuit_keeps_statevector_path():
     circuit = random_layered_circuit(3, 2, SeededRng(9).generator())
     axes, angles = _pair_rotations(circuit, 100, SeededRng(4))
-    full = _statevector_pair_fidelities(3, gate_layout(circuit), axes, angles)
+    full = _statevector_pair_fidelities(3, circuit.layout, axes, angles)
     assert np.array_equal(sample_fidelities(circuit, 100, SeededRng(4)), full)
 
 
@@ -478,6 +477,73 @@ def test_gradient_study_matches_per_circuit_gradients(cost_kind):
             theta = gen.uniform(0.0, 2.0 * math.pi, size=circuit.n_params)
             grads.append(gradient(circuit, theta, cost, 0))
         assert variance == pytest.approx(float(np.var(grads)), rel=1e-12)
+
+
+# gradient_variance_study variances (depth 4, 200 samples, global cost,
+# n = 2..8) as the per-sample circuit objects computed them
+STUDY_VARIANCES = {
+    0: ("0.10504920678129018", "0.05378496279607397", "0.02708550827869157", "0.010549735627878204",
+        "0.0030973725877479286", "0.002937833113344494", "0.001124560950337444"),
+    3: ("0.09731271905748005", "0.0596614190481983", "0.029147088317250734", "0.007140157462974495",
+        "0.004580301399643707", "0.00237618474434285", "0.0014499156020136624"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STUDY_VARIANCES))
+def test_gradient_study_variances_unchanged(seed):
+    study = gradient_variance_study(range(2, 9), 4, 200, "global", SeededRng(seed))
+    assert tuple(repr(v) for v in study.variances) == STUDY_VARIANCES[seed]
+
+
+def test_gradient_study_builds_no_circuit(monkeypatch):
+    built = []
+    original = ParameterizedCircuit.__post_init__
+
+    def counting(self):
+        built.append(self.n_qubits)
+        original(self)
+
+    monkeypatch.setattr(ParameterizedCircuit, "__post_init__", counting)
+    gradient_variance_study(range(2, 5), 2, 200, "global", SeededRng(1))
+    assert built == []
+    random_layered_circuit(2, 1, SeededRng(1).generator())
+    assert built == [2]
+
+
+def test_gradient_study_size_limit(monkeypatch):
+    with pytest.raises(InvalidConfig, match="n_samples must be <="):
+        gradient_variance_study([2, 8], 4, 10**12, "global", SeededRng(0))
+    monkeypatch.setattr(qmetrics, "MAX_STUDY_ROTATIONS", 3 * 2 * 200)
+    assert len(gradient_variance_study([2, 3], 2, 200, "global", SeededRng(0)).variances) == 2
+    with pytest.raises(InvalidConfig, match="n_samples must be <="):
+        gradient_variance_study([2, 3], 2, 201, "global", SeededRng(0))
+
+
+@pytest.mark.parametrize("length", [5, 8])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, theta: run_circuit(c, theta),
+        lambda c, theta: gradient(c, theta, "ZZZ", 0),
+        lambda c, theta: pure_state_qfi(c, theta, 0),
+    ],
+    ids=["run_circuit", "gradient", "pure_state_qfi"],
+)
+def test_theta_length_checked(call, length):
+    circuit = random_layered_circuit(3, 2, SeededRng(12).generator())
+    assert circuit.n_params == 6
+    with pytest.raises(ArityError, match="takes 6 parameters"):
+        call(circuit, np.zeros(length))
+
+
+@pytest.mark.parametrize("k", [-1, 0.5, 1])
+def test_parameter_index_checked(k):
+    # slot -1 marks the fixed-angle rotation in the table; it is no parameter
+    c = ParameterizedCircuit(1, (Gate("RX", (0,), angle=0.3), Gate("RY", (0,), param_slot=0)), 1)
+    with pytest.raises(ArityError, match="out of range"):
+        gradient(c, [0.2], "Z", k)
+    with pytest.raises(ArityError, match="out of range"):
+        pure_state_qfi(c, [0.2], k)
 
 
 def test_gradient_study_validation():

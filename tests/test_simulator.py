@@ -26,13 +26,13 @@ from datacomplexity.simulator import (
     encoding_circuit,
     expectation,
     fit_feature_map,
-    gate_layout,
+    layered_axes,
+    layered_layout,
     partial_trace,
     partial_trace_density,
     pauli_expectations,
     random_layered_circuit,
     required_qubits,
-    rotation_axes,
     rotation_matrix,
     run_batch,
     run_circuit,
@@ -78,11 +78,12 @@ def full_pauli(pauli):
 
 
 def circuit_unitary(circuit, theta):
-    from datacomplexity.simulator import resolve_angles
-
+    """Dense unitary of a circuit; each rotation reads its own slot or angle
+    from its Gate, independently of the circuit's rotation table."""
     n = circuit.n_qubits
     u = np.eye(2**n, dtype=complex)
-    for g, angle in zip(circuit.gates, resolve_angles(circuit, np.asarray(theta, float))):
+    for g in circuit.gates:
+        angle = g.angle if g.param_slot is None else float(theta[g.param_slot])
         if g.name in FIXED_GATES:
             step = full_single_qubit_op(FIXED_GATES[g.name], g.qubits[0], n)
         elif g.name == "CNOT":
@@ -206,7 +207,7 @@ def test_engine_batch_matches_dense_oracle(n, monkeypatch):
     for group, init in ((1, None), (2, start)):
         initial = zero_state(n).amplitudes if init is None else init
         seen = []
-        for cols, block in run_batch(n, gate_layout(circuit), axes, angles, start=init, group=group):
+        for cols, block in run_batch(n, circuit.layout, axes, angles, start=init, group=group):
             assert (cols.stop - cols.start) % group == 0
             values = {p: pauli_expectations(block, p) for p in paulis}
             for k, j in enumerate(range(cols.start, cols.stop)):
@@ -216,6 +217,27 @@ def test_engine_batch_matches_dense_oracle(n, monkeypatch):
                     assert abs(values[p][k] - np.vdot(dense, full_pauli(p) @ dense).real) <= 1e-12
                 seen.append(j)
         assert seen == list(range(8))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_batched_rotation_angles_match_columns(n):
+    """rotation_angles of a (P, B) theta is its per-column calls side by side,
+    and each rotation reads its own Gate's slot or fixed angle."""
+    rng = SeededRng(400 + n).generator()
+    circuit = random_gate_circuit(rng, n)
+    assert circuit.n_params > 0
+    # a fixed angle, and a second occurrence of every slot on another axis
+    extra = (Gate("RY", (0,), angle=0.25),) + tuple(Gate("RX", (k % n,), param_slot=k) for k in range(circuit.n_params))
+    circuit = ParameterizedCircuit(n, circuit.gates + extra, circuit.n_params)
+    theta = rng.uniform(-7, 7, size=(circuit.n_params, 5))
+    batched = circuit.rotation_angles(theta)
+    rotations = [g for g in circuit.gates if g.name in ROTATION_GATES]
+    assert batched.shape == (len(rotations), 5)
+    for b in range(5):
+        assert np.array_equal(batched[:, b], circuit.rotation_angles(theta[:, b]))
+        assert np.array_equal(batched[:, b], [g.angle if g.param_slot is None else theta[g.param_slot, b] for g in rotations])
+    fixed_only = ParameterizedCircuit(2, (Gate("RX", (1,), angle=0.3), Gate("H", (0,))), 0)
+    assert np.array_equal(fixed_only.rotation_angles(np.zeros((0, 3))), [[0.3, 0.3, 0.3]])
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -228,7 +250,7 @@ def test_product_engine_matches_dense_oracle(n):
     n_rotations = sum(g.name in ROTATION_GATES for g in circuit.gates)
     axes = rng.integers(0, 3, size=(n_rotations, 6)).astype(np.int8)
     angles = rng.uniform(-2 * math.pi, 2 * math.pi, size=axes.shape)
-    factors = run_product_batch(n, gate_layout(circuit), axes, angles)
+    factors = run_product_batch(n, circuit.layout, axes, angles)
     assert factors.shape == (n, 2, 6)
     for j in range(6):
         state = np.ones(1)
@@ -246,10 +268,10 @@ def test_product_engine_rejects_entangling_layout():
 
 def test_engine_rejects_bad_norm():
     circuit = random_layered_circuit(3, 2, SeededRng(4).generator())
-    axes = np.repeat(rotation_axes(circuit)[:, None], 4, axis=1)
+    axes = np.repeat(circuit.axes[:, None], 4, axis=1)
     angles = np.zeros(axes.shape)
     with pytest.raises(InvalidState):
-        list(run_batch(3, gate_layout(circuit), axes, angles, start=1.5 * zero_state(3).amplitudes))
+        list(run_batch(3, circuit.layout, axes, angles, start=1.5 * zero_state(3).amplitudes))
 
 
 def test_norm_preserved_through_deep_circuit():
@@ -405,6 +427,14 @@ def test_layered_circuit_shapes():
     c2 = random_layered_circuit(3, 2, SeededRng(0).generator())
     assert c2.n_params == 6
     assert sum(g.name == "CNOT" for g in c2.gates) == 4
+
+
+@pytest.mark.parametrize("n, depth", [(1, 1), (3, 2), (5, 4)])
+def test_layered_circuit_is_layout_plus_axes(n, depth):
+    circuit = random_layered_circuit(n, depth, SeededRng(n + depth).generator())
+    assert circuit.layout == layered_layout(n, depth)
+    assert np.array_equal(circuit.axes, layered_axes(n, depth, SeededRng(n + depth).generator()))
+    assert np.array_equal(circuit.slots, np.arange(n * depth))
 
 
 def test_layered_circuit_deterministic():
