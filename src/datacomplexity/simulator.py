@@ -13,16 +13,27 @@ Circuits run on one batched engine, run_batch. A block holds B states as a
 (2^n, B) complex array with the sample axis last and contiguous; the B
 circuits share one gate layout (ParameterizedCircuit.layout) and differ only
 in the axis and angle of each rotation. Rotations are a two-term elementwise
-update with per-column (2, 2, B) coefficients; each maximal run of
+update with per-column (2, 2, B) coefficients, computed per chunk from the
+(R, B) axis and angle arrays in row slices of at most COEFF_BYTES. The update
+(_rotate) has two forms with the same products in the same order, so the
+same bits: at low qubits a gather of the pair partners plus whole-period
+diagonal and flip patterns, at high qubits an update of the two half views;
+either way numpy's inner loops are about _INNER_RUN amplitudes long, and a
+rotation costs about the same at every qubit. Each maximal run of
 consecutive CNOT/CZ gates is folded into one cached index permutation and
 sign mask, so the CNOT ladder of a layered-ansatz layer is one gather;
-Z-string expectations are signs @ |amps|^2 over a cached parity table. Columns run in chunks whose
-block and spare buffer together hold CHUNK_BYTES (1 MiB) of amplitudes, so a
-chunk stays in L2 cache. run_with_angles is a one-column call into it.
+Z-string expectations are signs @ |amps|^2 over a cached parity table.
+Columns run in chunks whose block and spare buffer together hold CHUNK_BYTES
+(1 MiB) of amplitudes, so a chunk stays in L2 cache. run_with_angles is a
+one-column call into it.
+
 A layout without CNOT/CZ (is_entangling is False) leaves |0...0> a product
 state, and run_product_batch runs it qubit by qubit: each qubit's gates act
 on its own (2, B) block with the same two-term update, so no 2^n array is
-formed.
+formed. run_batch does the same for the leading gates of any layout started
+from |0...0> (_product_prefix; the first rotation layer of the layered
+ansatz) and fills the block from the product of those factors, bit-equal to
+running the gates on the block.
 
 Feature maps encode a whole data matrix at once (encode_rows) into an
 (N, 2^n) array, one state per row; angle rows are product states built from
@@ -36,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -59,6 +71,11 @@ NORM_TOL = 1e-10
 CHUNK_BYTES = 1 << 20
 # Amplitudes per numpy inner loop in a rotation; see _rotate.
 _INNER_RUN = 1024
+# Bytes of rotation coefficients run_batch holds at once (_coefficient_rows):
+# one row slice of a chunk's (R, 2, 2, B) table. 16 KiB is one row at
+# B = 400 (n <= 6 in the barren study), so peak memory stays where one table
+# per rotation kept it, and 32 rows at B = 8 (n = 12).
+COEFF_BYTES = 1 << 14
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -153,10 +170,20 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Gate:
+    """One gate of a circuit; `qubits` is stored as a tuple of ints (any
+    sequence of integers is accepted, anything else raises ArityError)."""
+
     name: str
     qubits: tuple[int, ...]
     param_slot: int | None = None
     angle: float | None = None
+
+    def __post_init__(self):
+        try:
+            qubits = tuple(operator.index(q) for q in self.qubits)
+        except TypeError:
+            raise ArityError(f"gate {self.name} needs a sequence of integer qubits, got {self.qubits!r}") from None
+        object.__setattr__(self, "qubits", qubits)
 
 
 @dataclass(frozen=True)
@@ -254,9 +281,28 @@ _ROTATION_GENERATORS = np.array([[[0, -1j], [-1j, 0]], [[0, -1], [1, 0]], [[-1j,
 
 
 def _rotation_coefficients(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """(2, 2, B) matrices of B rotations with axis codes and angles (B,)."""
-    half = angles / 2.0
-    return _ROTATION_GENERATORS[axes].transpose(1, 2, 0) * np.sin(half) + np.eye(2)[:, :, None] * np.cos(half)
+    """(R, 2, 2, B) matrices of the rotations with axis codes and angles (R, B)."""
+    half = angles[:, None, None, :] / 2.0
+    return _ROTATION_GENERATORS[axes].transpose(0, 2, 3, 1) * np.sin(half) + np.eye(2)[:, :, None] * np.cos(half)
+
+
+def _coefficient_rows(axes: np.ndarray, angles: np.ndarray):
+    """Yield the (2, 2, B) matrix of each rotation of (R, B) axes and angles in
+    turn, computed a slice of rows at a time so that one slice holds at most
+    COEFF_BYTES (at least one row)."""
+    step = max(1, COEFF_BYTES // (64 * axes.shape[1]))
+    for lo in range(0, axes.shape[0], step):
+        yield from _rotation_coefficients(axes[lo : lo + step], angles[lo : lo + step])
+
+
+def _gate_matrix(name: str, coeffs) -> np.ndarray:
+    """(2, 2, B) matrix of a single-qubit gate: the next of `coeffs` for a
+    rotation ("R"), a broadcastable (2, 2, 1) for a fixed gate."""
+    if name == "R":
+        return next(coeffs)
+    if name in FIXED_GATES:
+        return FIXED_GATES[name][:, :, None]
+    raise ParseError(f"unknown gate {name!r}")
 
 
 @lru_cache(maxsize=64)
@@ -281,11 +327,11 @@ def _fused_permutation(n: int, run: tuple[tuple[str, tuple[int, ...]], ...]) -> 
 
 
 def _program(n: int, layout) -> list[tuple]:
-    """Kernel steps of a layout: ("rot", qubit, rotation row),
-    ("fixed", qubit, matrix) and ("perm", perm, sign) per maximal CNOT/CZ run."""
+    """Kernel steps of a layout: ("gate", name, qubit) per single-qubit gate
+    (_gate_matrix rejects an unknown name) and ("perm", perm, sign) per
+    maximal CNOT/CZ run."""
     steps: list[tuple] = []
     run: list = []
-    row = 0
     for name, qubits in layout:
         if name in TWO_QUBIT_GATES:
             run.append((name, qubits))
@@ -293,38 +339,61 @@ def _program(n: int, layout) -> list[tuple]:
         if run:
             steps.append(("perm", *_fused_permutation(n, tuple(run))))
             run = []
-        if name == "R":
-            steps.append(("rot", qubits[0], row))
-            row += 1
-        elif name in FIXED_GATES:
-            steps.append(("fixed", qubits[0], FIXED_GATES[name][:, :, None]))
-        else:
-            raise ParseError(f"unknown gate {name!r}")
+        steps.append(("gate", name, qubits[0]))
     if run:
         steps.append(("perm", *_fused_permutation(n, tuple(run))))
     return steps
 
 
+@lru_cache(maxsize=64)
+def _pair_tables(q: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit q of rows 0..rows-1 and the row of each one's pair partner (read-only)."""
+    idx = np.arange(rows)
+    bit, partner = (idx >> q) & 1, idx ^ (1 << q)
+    bit.setflags(write=False)
+    partner.setflags(write=False)
+    return bit, partner
+
+
 def _rotate(block: np.ndarray, u: np.ndarray, q: int, n: int, spare: np.ndarray) -> None:
     """In place: the two-term update of every (bit q = 0, bit q = 1) pair,
-    with per-column 2x2 coefficients u (2, 2, B). The two halves of `spare`,
-    a buffer of the block's size, hold the temporaries."""
+    a0' = a0 u00 + a1 u01 and a1' = a1 u11 + a0 u10, with per-column 2x2
+    coefficients u (2, 2, B) or (2, 2, 1). `spare`, a buffer of the block's
+    size, holds the temporaries.
+
+    Both forms keep numpy's inner loops about _INNER_RUN amplitudes long
+    rather than B (2 columns at n=14), and both give the same bits: each
+    product is amplitude times coefficient, in that operand order (numpy's
+    complex product need not round the same with its operands swapped), and
+    the same products are added in the same order. Where 2^q rows of equal bit q hold fewer amplitudes than that,
+    `spare` takes the pair partners in one gather, and the block times the
+    diagonal pattern (u00 | u11) plus the partners times the flip pattern
+    (u01 | u10) is formed with both patterns tiled over whole periods of
+    2^(q+1) rows. Above that, the two halves of each period are updated as
+    views, with u tiled along rows of equal bit q.
+    """
     width = block.shape[1]
-    # Tile u over up to _INNER_RUN amplitudes of equal bit q so numpy's inner
-    # loop is that long rather than B (4 columns at n=14).
-    tile = min(2**q, 1 << max(0, (_INNER_RUN // width).bit_length() - 1))
-    if tile > 1:
-        u = np.tile(u, (1, 1, tile))
-    view = block.reshape(2 ** (n - 1 - q), 2, 2**q // tile, tile * width)
-    a0, a1 = view[:, 0], view[:, 1]
-    t0, t1 = (half.reshape(a0.shape) for half in spare.reshape(2, -1))
-    np.multiply(a0, u[0, 0], out=t0)
-    np.multiply(a1, u[0, 1], out=t1)
-    t0 += t1
-    np.multiply(a0, u[1, 0], out=t1)
-    a1 *= u[1, 1]
-    a1 += t1
-    a0[...] = t0
+    if u.shape[2] != width:
+        u = np.broadcast_to(u, (2, 2, width))
+    diag, flip = u[[0, 1], [0, 1]], u[[0, 1], [1, 0]]  # (2, B): (u00, u11), (u01, u10)
+    tile = 1 << max(0, (_INNER_RUN // width).bit_length() - 1)  # rows in one inner loop
+    if 2**q * width < _INNER_RUN:
+        rows = min(2**n, max(2 ** (q + 1), tile))
+        bit, partner = _pair_tables(q, rows)
+        view, partners = block.reshape(-1, rows, width), spare.reshape(-1, rows, width)
+        # mode="raise" would buffer `out` in a copy; partner is in range
+        np.take(view, partner, axis=1, out=partners, mode="clip")
+        view *= diag[bit]
+        partners *= flip[bit]
+        view += partners
+    else:
+        shape = (2 ** (n - 1 - q), 2, 2**q // tile, tile * width)
+        view, products = block.reshape(shape), spare.reshape(shape)
+        diag, flip = (pattern[:, None].repeat(tile, axis=1).reshape(2, 1, -1) for pattern in (diag, flip))
+        np.multiply(view[:, 1], flip[0], out=products[:, 0])
+        np.multiply(view[:, 0], flip[1], out=products[:, 1])
+        view *= diag
+        view += products
 
 
 def _squared_norms(block: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -335,6 +404,50 @@ def _squared_norms(block: np.ndarray, weights: np.ndarray | None = None) -> np.n
     else:
         sums = np.einsum("i,ij,ij->j", weights, flat, flat)
     return sums.reshape(-1, 2).sum(axis=1)
+
+
+def _product_prefix(layout) -> tuple[int, int]:
+    """(gates, qubits) of the leading gates of `layout` that _fill_product
+    reproduces bit for bit: any gates on qubit 0, then one gate on each of
+    qubits 1, 2, ... in turn. A CNOT/CZ ends the run, and so does any other
+    gate: on the block, a second gate on a qubit acts on amplitudes that
+    already carry other qubits' factors, which rounds differently."""
+    qubits = 0
+    for i, (name, targets) in enumerate(layout):
+        q = targets[0]
+        if name in TWO_QUBIT_GATES or not (q == qubits or (q == 0 and qubits == 1)):
+            return i, qubits
+        qubits = max(qubits, q + 1)
+    return len(layout), qubits
+
+
+def _product_factors(n_qubits: int, layout, coeffs, width: int) -> np.ndarray:
+    """(n_qubits, 2, width) factors of single-qubit gates run on |0...0>:
+    each gate acts on its qubit's (2, width) block with the two-term update
+    of _rotate; `coeffs` yields the (2, 2, width) matrix of each rotation in
+    turn, and a qubit with no gate stays [1, 0]."""
+    factors = np.zeros((n_qubits, 2, width), dtype=complex)
+    factors[:, 0] = 1.0
+    for name, (q,) in layout:
+        u = _gate_matrix(name, coeffs)
+        s0, s1 = factors[q]
+        # state times coefficient, as in _rotate: numpy's complex product
+        # need not round the same with its operands swapped
+        factors[q] = s0 * u[:, 0] + s1 * u[:, 1]
+    return factors
+
+
+def _fill_product(block: np.ndarray, factors: np.ndarray) -> None:
+    """Set a (2^n, B) block to the product state of the (k, 2, B) factors of
+    qubits 0..k-1, the others |0>: the factors multiply in qubit order, one
+    doubling of the filled rows per qubit."""
+    filled = 1 << factors.shape[0]
+    block[filled:] = 0.0
+    block[0] = 1.0
+    for q, (f0, f1) in enumerate(factors):
+        low = block[: 1 << q]
+        np.multiply(low, f1, out=block[1 << q : 2 << q])
+        low *= f0
 
 
 def run_batch(
@@ -349,15 +462,19 @@ def run_batch(
 
     `axes` and `angles` are (R, B): rotation r of column b is
     ROTATION_GATES[axes[r, b]] by angles[r, b]. Every column starts from
-    `start` (default |0...0>). Columns run in chunks: a block and a spare
-    buffer of the same size, CHUNK_BYTES together, serve every chunk, so a
-    yielded block is only valid until the next one is requested. A chunk is a
-    multiple of `group` columns, so a group of related states (a
-    parameter-shift pair, a fidelity pair) lands in one block. Every state of
-    a block passes the StateVector norm check before the block is yielded.
+    `start` (default |0...0>). From |0...0>, the leading single-qubit gates
+    of _product_prefix run on per-qubit (2, B) factors and the block is filled
+    from their product, bit-equal to running them on the block. Columns run
+    in chunks: a block and a spare buffer of the same size, CHUNK_BYTES
+    together, serve every chunk, so a yielded block is only valid until the
+    next one is requested. A chunk is a multiple of `group` columns, so a
+    group of related states (a parameter-shift pair, a fidelity pair) lands in
+    one block. Every state of a block passes the StateVector norm check before
+    the block is yielded.
     """
     n = n_qubits
     steps = _program(n, layout)
+    prefix, prefix_qubits = _product_prefix(layout) if start is None else (0, 0)
     total = axes.shape[1]
     width = min(total, max(1, CHUNK_BYTES // (32 * 2**n) // group) * group)
     buffers = np.empty((2, 2**n * width), dtype=complex)
@@ -365,22 +482,20 @@ def run_batch(
         cols = slice(lo, min(lo + width, total))
         b = cols.stop - lo
         block, spare = (buf[: 2**n * b].reshape(2**n, b) for buf in buffers)
+        coeffs = _coefficient_rows(axes[:, cols], angles[:, cols])
         if start is None:
-            block.fill(0.0)
-            block[0] = 1.0
+            _fill_product(block, _product_factors(prefix_qubits, layout[:prefix], coeffs, b))
         else:
             block[:] = start[:, None]
-        for kind, a, c in steps:
+        for kind, a, c in steps[prefix:]:  # a prefix has no CNOT/CZ: one step per gate
             if kind == "perm":
                 # mode="raise" would buffer `out` in a copy; perm is in range
                 np.take(block, a, axis=0, out=spare, mode="clip")
                 if c is not None:
                     spare *= c
                 block, spare = spare, block
-            elif kind == "rot":
-                _rotate(block, _rotation_coefficients(axes[c, cols], angles[c, cols]), a, n, spare)
             else:
-                _rotate(block, np.broadcast_to(c, (2, 2, b)), a, n, spare)
+                _rotate(block, _gate_matrix(a, coeffs), c, n, spare)
         _require_unit_norms(_squared_norms(block))
         yield cols, block
 
@@ -394,25 +509,14 @@ def run_product_batch(n_qubits: int, layout, axes: np.ndarray, angles: np.ndarra
     """Run B circuits of one layout without CNOT/CZ, qubit by qubit.
 
     Such a circuit leaves |0...0> a product state, so each qubit's gates act
-    on its own (2, B) block with the same two-term update as run_batch.
-    Returns the (n, 2, B) factors: [q, :, b] is qubit q of column b, and a
-    qubit with no gate stays [1, 0]. `axes` and `angles` are as in run_batch.
+    on its own (2, B) block with the same two-term update as run_batch
+    (_product_factors). Returns the (n, 2, B) factors: [q, :, b] is qubit q of
+    column b, and a qubit with no gate stays [1, 0]. `axes` and `angles` are
+    as in run_batch.
     """
     if is_entangling(layout):
         raise ArityError("a layout with CNOT/CZ does not make product states")
-    factors = np.zeros((n_qubits, 2, axes.shape[1]), dtype=complex)
-    factors[:, 0] = 1.0
-    row = 0
-    for name, (q,) in layout:
-        if name == "R":
-            u = _rotation_coefficients(axes[row], angles[row])
-            row += 1
-        elif name in FIXED_GATES:
-            u = FIXED_GATES[name][:, :, None]
-        else:
-            raise ParseError(f"unknown gate {name!r}")
-        s0, s1 = factors[q]
-        factors[q] = u[:, 0] * s0 + u[:, 1] * s1
+    factors = _product_factors(n_qubits, layout, _coefficient_rows(axes, angles), axes.shape[1])
     _require_unit_norms(np.sum(np.abs(factors) ** 2, axis=1).ravel())
     return factors
 
@@ -632,8 +736,10 @@ def layered_layout(n_qubits: int, depth: int) -> tuple:
 
 
 def layered_axes(n_qubits: int, depth: int, gen: np.random.Generator) -> np.ndarray:
-    """Axis codes (n_qubits * depth,) of one layered circuit: per layer gen.integers(0, 3, size=n_qubits)."""
-    return np.concatenate([gen.integers(0, 3, size=n_qubits) for _ in range(depth)])
+    """Axis codes (n_qubits * depth,) of one layered circuit, layer by layer:
+    one draw gen.integers(0, 3, size=(depth, n_qubits)), the same stream as
+    one integers(0, 3, size=n_qubits) per layer."""
+    return gen.integers(0, 3, size=(depth, n_qubits)).ravel()
 
 
 def random_layered_circuit(n_qubits: int, depth: int, rng) -> ParameterizedCircuit:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import tracemalloc
@@ -344,6 +345,27 @@ def test_barren_deterministic_csv(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # report
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["barren", "--n-min", "2", "--n-max", "3", "--depth", "2", "--samples", "200"], ["profile", "synth:parity"]],
+    ids=["barren", "profile"],
+)
+def test_main_leaves_little_cyclic_garbage(args, tmp_path):
+    """A call of main() leaves few objects that only the cycle collector
+    frees (a parser built per call left about 280), so a process that calls
+    it repeatedly keeps a steady resident size."""
+    argv = [*args, "--output", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable < 100
 
 
 def test_report_renders_config_hash(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,20 +480,44 @@ def test_gradient_study_matches_per_circuit_gradients(cost_kind):
         assert variance == pytest.approx(float(np.var(grads)), rel=1e-12)
 
 
-# gradient_variance_study variances (depth 4, 200 samples, global cost,
-# n = 2..8) as the per-sample circuit objects computed them
+# gradient_variance_study variances (depth 4, 200 samples, n = 2..8) as the
+# per-sample circuit objects and the per-rotation kernel computed them
 STUDY_VARIANCES = {
-    0: ("0.10504920678129018", "0.05378496279607397", "0.02708550827869157", "0.010549735627878204",
-        "0.0030973725877479286", "0.002937833113344494", "0.001124560950337444"),
-    3: ("0.09731271905748005", "0.0596614190481983", "0.029147088317250734", "0.007140157462974495",
-        "0.004580301399643707", "0.00237618474434285", "0.0014499156020136624"),
+    (0, "global"): ("0.10504920678129018", "0.05378496279607397", "0.02708550827869157", "0.010549735627878204",
+                    "0.0030973725877479286", "0.002937833113344494", "0.001124560950337444"),
+    (3, "global"): ("0.09731271905748005", "0.0596614190481983", "0.029147088317250734", "0.007140157462974495",
+                    "0.004580301399643707", "0.00237618474434285", "0.0014499156020136624"),
+    (0, "local"): ("0.14615732875475057", "0.12987476813057813", "0.14475144929954406", "0.14348781123675167",
+                   "0.08499092292752593", "0.10461131901337456", "0.1336840902213595"),
+    (3, "local"): ("0.12018665896816326", "0.11309342968202821", "0.09299173900350151", "0.06458434879989335",
+                   "0.11264971128419302", "0.11261354665514826", "0.09720124711569784"),
 }
 
 
-@pytest.mark.parametrize("seed", sorted(STUDY_VARIANCES))
-def test_gradient_study_variances_unchanged(seed):
-    study = gradient_variance_study(range(2, 9), 4, 200, "global", SeededRng(seed))
-    assert tuple(repr(v) for v in study.variances) == STUDY_VARIANCES[seed]
+@pytest.mark.parametrize(
+    "seed, cost_kind",
+    [pytest.param(seed, cost, id=str(seed) if cost == "global" else f"{seed}-{cost}") for seed, cost in sorted(STUDY_VARIANCES)],
+)
+def test_gradient_study_variances_unchanged(seed, cost_kind):
+    study = gradient_variance_study(range(2, 9), 4, 200, cost_kind, SeededRng(seed))
+    assert tuple(repr(v) for v in study.variances) == STUDY_VARIANCES[seed, cost_kind]
+
+
+# Traced peak of one study pass, in MiB. The per-rotation coefficient kernel
+# peaked at 1.34 (n=6) and 1.89 (n=12); the bound adds 0.25 MiB. One
+# (R, 2, 2, B) coefficient table per chunk would reach 2.4 at n=6.
+STUDY_PEAK_MIB = {6: 1.34 + 0.25, 12: 1.89 + 0.25}
+
+
+@pytest.mark.parametrize("n", sorted(STUDY_PEAK_MIB))
+def test_gradient_study_memory_is_bounded(n):
+    tracemalloc.start()
+    try:
+        gradient_variance_study((n,), 4, 200, "global", SeededRng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= STUDY_PEAK_MIB[n]
 
 
 def test_gradient_study_builds_no_circuit(monkeypatch):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datacomplexity.config import SeededRng
 from datacomplexity.errors import (
@@ -266,6 +268,77 @@ def test_product_engine_rejects_entangling_layout():
         run_product_batch(2, layout, np.zeros((0, 1), dtype=np.int8), np.zeros((0, 1)))
 
 
+# ---------------------------------------------------------------------------
+# rotation kernel and product prefix
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rotate_matches_dense_operator_in_both_forms(n, monkeypatch):
+    """_rotate at every qubit equals kron(I, u_b, I) applied to column b, in
+    its gather form (every q below a huge _INNER_RUN), its half-view form
+    (_INNER_RUN = 1) and the default split; the forms add the same products
+    in the same order, so they are bit-equal to each other."""
+    rng = SeededRng(500 + n).generator()
+    units = [np.outer(np.eye(2)[i], np.eye(2)[j]) for i in range(2) for j in range(2)]
+    for q in range(n):
+        # kron(I, u, I) = sum_ij u[i, j] kron(I, E_ij, I)
+        unit_ops = [full_single_qubit_op(e, q, n) for e in units]
+        for width in (1, 2, 3, 8, 400):
+            block = rng.normal(size=(2**n, width)) + 1j * rng.normal(size=(2**n, width))
+            u = rng.normal(size=(2, 2, width)) + 1j * rng.normal(size=(2, 2, width))
+            dense = sum((op @ block) * u[i, j] for (i, j), op in zip(np.ndindex(2, 2), unit_ops))
+            results = []
+            for inner in (1 << 30, 1, simulator._INNER_RUN):
+                with monkeypatch.context() as mp:
+                    mp.setattr(simulator, "_INNER_RUN", inner)
+                    out = block.copy()
+                    simulator._rotate(out, u, q, n, np.empty_like(block))
+                assert np.max(np.abs(out - dense)) <= 1e-12, (q, width, inner)
+                results.append(out)
+            assert all(np.array_equal(results[0].view(np.uint64), r.view(np.uint64)) for r in results[1:]), (q, width)
+
+
+def prefixed_circuit(rng, n):
+    """random_gate_circuit after a product prefix: one to three gates on
+    qubit 0, then one gate on each of qubits 1..n-1, drawn from H/X/Y/Z and
+    rotations."""
+    names = list(FIXED_GATES) + list(ROTATION_GATES)
+    targets = [0] * int(rng.integers(1, 4)) + list(range(1, n))
+    gates, slot = [], 0
+    for q in targets:
+        name = str(rng.choice(names))
+        gates.append(Gate(name, (q,), param_slot=slot if name in ROTATION_GATES else None))
+        slot += name in ROTATION_GATES
+    rest = random_gate_circuit(rng, n)
+    shifted = tuple(g if g.param_slot is None else Gate(g.name, g.qubits, param_slot=g.param_slot + slot) for g in rest.gates)
+    return ParameterizedCircuit(n, tuple(gates) + shifted, slot + rest.n_params), len(targets)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_product_prefix_is_bit_equal_to_zero_start(n, monkeypatch):
+    """From |0...0>, run_batch builds the leading single-qubit gates from
+    per-qubit factors; the blocks equal those of an explicit |0...0> start,
+    bit for bit, on the layered ansatz, on random layouts with a product
+    prefix and on random layouts."""
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", 3 * 32 * 2**n)  # several chunks
+    rng = SeededRng(600 + n).generator()
+    zero = zero_state(n).amplitudes
+    cases = [(layered_layout(n, 3), n)]
+    for _ in range(3):
+        circuit, prefix = prefixed_circuit(rng, n)
+        cases.append((circuit.layout, prefix))
+        cases.append((random_gate_circuit(rng, n).layout, 0))
+    for layout, prefix in cases:
+        assert simulator._product_prefix(layout)[0] >= prefix
+        n_rotations = sum(name == "R" for name, _ in layout)
+        axes = rng.integers(0, 3, size=(n_rotations, 7)).astype(np.int8)
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, size=axes.shape)
+        filled = [block.copy() for _, block in run_batch(n, layout, axes, angles)]
+        started = [block.copy() for _, block in run_batch(n, layout, axes, angles, start=zero)]
+        assert len(filled) == len(started) == 3
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(filled, started))
+
+
 def test_engine_rejects_bad_norm():
     circuit = random_layered_circuit(3, 2, SeededRng(4).generator())
     axes = np.repeat(circuit.axes[:, None], 4, axis=1)
@@ -437,10 +510,32 @@ def test_layered_circuit_is_layout_plus_axes(n, depth):
     assert np.array_equal(circuit.slots, np.arange(n * depth))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_layered_axes_is_per_layer_draws(n, depth, seed):
+    """The one (depth, n) draw gives the stream of one integers(0, 3, size=n)
+    draw per layer, and leaves the generator where the loop leaves it."""
+    one, loop = SeededRng(seed).child(n, 0), SeededRng(seed).child(n, 0)
+    axes = layered_axes(n, depth, one)
+    assert np.array_equal(axes, np.concatenate([loop.integers(0, 3, size=n) for _ in range(depth)]))
+    assert one.uniform() == loop.uniform()
+
+
 def test_layered_circuit_deterministic():
     a = random_layered_circuit(4, 3, SeededRng(21).generator())
     b = random_layered_circuit(4, 3, SeededRng(21).generator())
     assert a == b
+
+
+def test_gate_qubits_become_an_int_tuple():
+    """A list of qubits is stored as a tuple (a CNOT's permutation cache needs
+    a hashable one); qubits that are not a sequence of ints raise ArityError."""
+    state = run_circuit(ParameterizedCircuit(2, (Gate("H", [0]), Gate("CNOT", [0, 1])), 0), [])
+    assert state.amplitudes == pytest.approx(np.array([1, 0, 0, 1]) / math.sqrt(2))
+    assert Gate("CZ", [np.int64(1), 0]).qubits == (1, 0)
+    for bad in (0, [0.5], "0"):
+        with pytest.raises(ArityError):
+            Gate("H", bad)
 
 
 def test_circuit_json_round_trip():
