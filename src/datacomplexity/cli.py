@@ -132,10 +132,8 @@ def _report_csv(obj: dict) -> str:
 
 def _emit_report(report, args) -> int:
     """Write a profile report; a partial report (an error: flag) exits 1."""
-    obj = report.to_json_obj()
-    text = _report_csv(obj) if args.format == "csv" else json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    _emit(text, args.output)
-    partial = any(f.startswith("error:") for f in obj["flags"])
+    _emit(_report_csv(report.to_json_obj()) if args.format == "csv" else report.to_json(), args.output)
+    partial = any(f.startswith("error:") for f in report.flags)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 

@@ -2,7 +2,12 @@
 
 Each pipeline computes its metrics once into the report's MetricVector and
 reads the composites from it: profile_classical for the classical suite,
-profile_quantum for one embedding of the dataset and the quantum suite.
+profile_quantum for one embedding of the dataset and the quantum suite,
+barren_study_report for the gradient-variance study. All three build their
+report through one path, _assemble: each composite is built or its missing
+metric becomes an "error:<name>=..." flag, the first composite sets the
+resource estimate, and the ComplexityReport is constructed there alone.
+profile_classical records each metric, or flags its failure, in one step.
 
 Reports are deterministic under (inputs, config, seed): keys are sorted,
 floats serialize via repr, and wall-clock timings are kept out of the JSON
@@ -35,6 +40,7 @@ from .qmetrics import GradientStudy, gradient_variance_study
 from .scoring import (
     CompositeScore,
     MetricVector,
+    add_topological_complexity,
     classical_complexity,
     circuit_resource_estimate,
     clip01,
@@ -43,15 +49,10 @@ from .scoring import (
     induced_complexity,
     quantum_complexity,
     quantum_metrics,
+    rips_persistence,
 )
 from .simulator import MAX_QUBITS, FeatureMap, required_qubits
-from .topology import (
-    distance_matrix_from_points,
-    persistence_diagram,
-    rips_filtration,
-    topological_complexity,
-    total_persistence,
-)
+from .topology import distance_matrix_from_points, total_persistence
 
 SCHEMA_VERSION = "v1"
 
@@ -218,6 +219,37 @@ def _diagram_summary(diagram) -> dict:
     }
 
 
+def _assemble(cfg: ConfigProfile, dataset: dict, mv: MetricVector, flags: list[str], builders=(), **fields) -> ComplexityReport:
+    """The report of every verb: its metrics, flags and composites.
+
+    `builders` holds (name, build) pairs. Each build() reads `mv` into a
+    composite, or its MissingMetric becomes an "error:<name>=..." flag of a
+    partial report. The first composite (the classical one, or the one
+    induced by the feature map) sets the resource estimate when it is built.
+    """
+    composites, resource = [], None
+    for i, (name, build) in enumerate(builders):
+        try:
+            composite = build()
+        except MissingMetric as exc:
+            flags.append(f"error:{name}={exc}")
+            continue
+        composites.append(composite)
+        if i == 0:
+            qubits, depth = circuit_resource_estimate(clip01(composite.value), cfg)
+            resource = {"qubits": qubits, "depth": depth}
+    return ComplexityReport(
+        config_hash=config_hash_hex(cfg),
+        seed=cfg.seed,
+        dataset=dataset,
+        metrics=mv,
+        composites=composites,
+        resource_estimate=resource,
+        flags=flags,
+        **fields,
+    )
+
+
 def profile_classical(ds: Dataset, cfg: ConfigProfile, use_standardized: bool = True) -> ComplexityReport:
     """Run the full classical metric suite plus topology and the composite.
 
@@ -225,99 +257,58 @@ def profile_classical(ds: Dataset, cfg: ConfigProfile, use_standardized: bool = 
     the report stays partial rather than aborting the run.
     """
     timer = _Timer()
-    flags = []
+    flags = ["infinite_bars=capped_at_max_scale"]
+    work = ds
     if use_standardized and not ds.is_standardized and ds.n_samples >= 2:
         work = timer.run("standardize", lambda: standardize(ds))
-        flags.append("metrics_input=standardized")
-    else:
-        work = ds
-        flags.append(
-            "metrics_input=standardized" if ds.is_standardized else "metrics_input=raw"
-        )
-
+    flags.append("metrics_input=standardized" if work.is_standardized else "metrics_input=raw")
     n, d = work.n_samples, work.n_features
     mv = MetricVector()
 
-    def attempt(name: str, fn):
+    def attempt(name: str, fn, bounds=None):
+        """Time fn as stage `name` and, given bounds, record its value as the
+        metric `name`; a toolkit error becomes a flag and gives None."""
         try:
-            return timer.run(name, fn)
+            value = timer.run(name, fn)
         except DataComplexityError as exc:
             flags.append(f"error:{name}={exc}")
             return None
-
-    entropy = attempt("distributional_entropy", lambda: distributional_entropy(work, cfg.bins_entropy))
-    if entropy is not None:
-        mv.add("distributional_entropy", entropy, (0.0, max(math.log2(n), 1e-12) if n > 1 else 1.0))
-
-    if work.is_standardized:
-        order = attempt("interaction_order", lambda: interaction_order(work, cfg.epsilon_cumulant))
-    else:
-        order = 1
-        flags.append("interaction_order=raw_input_floor")
-    if order is not None:
-        mv.add("interaction_order", float(order), (1.0, 4.0))
-
-    ratio = attempt("compression_ratio", lambda: compression_ratio(work))
-    if ratio is not None:
-        mv.add("compression_ratio", ratio, (0.0, 1.0))
-
-    def record(name: str, fn, bounds) -> None:
-        value = attempt(name, fn)
-        if value is not None:
+        if bounds is not None:
             mv.add(name, value, bounds)
+        return value
 
-    if work.n_samples >= 2:
+    entropy_bound = max(math.log2(n), 1e-12) if n > 1 else 1.0
+    attempt("distributional_entropy", lambda: distributional_entropy(work, cfg.bins_entropy), (0.0, entropy_bound))
+    if work.is_standardized:
+        attempt("interaction_order", lambda: interaction_order(work, cfg.epsilon_cumulant), (1.0, 4.0))
+    else:
+        mv.add("interaction_order", 1.0, (1.0, 4.0))
+        flags.append("interaction_order=raw_input_floor")
+    attempt("compression_ratio", lambda: compression_ratio(work), (0.0, 1.0))
+
+    if n >= 2:
         spectrum = attempt("covariance_spectrum", lambda: covariance_spectrum(work))
         if spectrum is not None:
-            record("intrinsic_dimension", lambda: intrinsic_dimension(spectrum), (0.0, float(d)))
+            attempt("intrinsic_dimension", lambda: intrinsic_dimension(spectrum), (0.0, float(d)))
     else:
         flags.append("covariance=skipped_single_row")
 
-    def _kernel():
-        gram = kernel_gram(work, cfg.kernel_kind, cfg.kernel_bandwidth)
-        return gram_spectrum(gram)
-
-    kspec = attempt("kernel_spectrum", _kernel)
+    kspec = attempt("kernel_spectrum", lambda: gram_spectrum(kernel_gram(work, cfg.kernel_kind, cfg.kernel_bandwidth)))
     if kspec is not None:
-        record("kernel_effective_dimension", lambda: kernel_effective_dimension(kspec, cfg.kernel_ridge), (0.0, float(n)))
-        record("kernel_effective_rank", lambda: effective_rank(kspec), (0.0, float(n)))
+        attempt("kernel_effective_dimension", lambda: kernel_effective_dimension(kspec, cfg.kernel_ridge), (0.0, float(n)))
+        attempt("kernel_effective_rank", lambda: effective_rank(kspec), (0.0, float(n)))
 
     def _topo():
         dm = distance_matrix_from_points(work.matrix)
-        filtration = rips_filtration(dm, max_scale=cfg.rips_max_scale, max_dim=cfg.max_homology_dim, point_cap=cfg.rips_point_cap)
-        return persistence_diagram(filtration), dm.diameter()
+        return rips_persistence(dm, cfg), dm.diameter()
 
     topo = attempt("persistence", _topo)
-    topology_summary = None
     if topo is not None:
-        diagram, diameter = topo
-        c_top = topological_complexity(diagram, cfg.w_topology)
-        top_bound = max(sum(cfg.w_topology) * n * max(diameter, 1e-12), 1e-12)
-        mv.add("topological_complexity", c_top, (0.0, top_bound))
-        topology_summary = _diagram_summary(diagram)
+        add_topological_complexity(mv, "topological_complexity", *topo, n, cfg)
 
-    composites = []
-    resource = None
-    try:
-        composite = classical_complexity(mv, cfg.lambda_weights)
-        composites.append(composite)
-        qubits, depth = circuit_resource_estimate(clip01(composite.value), cfg)
-        resource = {"qubits": qubits, "depth": depth}
-    except MissingMetric as exc:
-        flags.append(f"error:classical_complexity={exc}")
-    flags.append("infinite_bars=capped_at_max_scale")
-
-    return ComplexityReport(
-        config_hash=config_hash_hex(cfg),
-        seed=cfg.seed,
-        dataset=ds.describe(),
-        metrics=mv,
-        composites=composites,
-        topology=topology_summary,
-        resource_estimate=resource,
-        flags=flags,
-        timings_ms=timer.timings,
-    )
+    builders = [("classical_complexity", lambda: classical_complexity(mv, cfg.lambda_weights))]
+    topology = _diagram_summary(topo[0]) if topo is not None else None
+    return _assemble(cfg, ds.describe(), mv, flags, builders, topology=topology, timings_ms=timer.timings)
 
 
 def profile_quantum(
@@ -334,48 +325,28 @@ def profile_quantum(
     composite. Rows are embedded raw (angle maps min-max scale internally);
     the report records that choice. As in profile_classical, a failing
     topology detail and each composite it leaves incomplete become
-    "error:<name>=..." flags of a partial report.
+    "error:<name>=..." flags of a partial report. A given `n_qubits` is
+    checked by FeatureMap (1..MAX_QUBITS) and encode_rows (room for a row).
     """
     timer = _Timer()
-    required = required_qubits(fm_kind, ds.n_features)
-    n = n_qubits if n_qubits is not None else required
-    if required > min(n, MAX_QUBITS):
-        raise CapacityError(
-            f"{fm_kind} encoding of {ds.n_features} features requires {required} qubits"
-            f" (at most {MAX_QUBITS} are simulated)"
-        )
-
-    fm = FeatureMap(kind=fm_kind, n_qubits=n)
+    if n_qubits is None:
+        n_qubits = required_qubits(fm_kind, ds.n_features)
+        if n_qubits > MAX_QUBITS:
+            raise CapacityError(
+                f"{fm_kind} encoding of {ds.n_features} features requires {n_qubits} qubits"
+                f" (at most {MAX_QUBITS} are simulated)"
+            )
+    fm = FeatureMap(kind=fm_kind, n_qubits=n_qubits)
     flags = ["embedding_input=raw", f"feature_map={fm_kind}", "infinite_bars=capped_at_max_scale"]
     ensemble = timer.run("embed", lambda: embed_dataset(ds, fm))
     mv = timer.run("quantum_metrics", lambda: quantum_metrics(ensemble, cfg, flags))
     m5 = timer.run("expressibility", lambda: expressibility_locality(fm, ds.n_features, cfg))
     mv.add("m5_expressibility_locality", m5, (0.0, 1.0))
-
-    composites = []
-    resource = None
-    try:
-        induced = induced_complexity(mv, cfg.beta_weights, fm_kind)
-        composites.append(induced)
-        qubits, depth = circuit_resource_estimate(clip01(induced.value), cfg)
-        resource = {"qubits": qubits, "depth": depth}
-    except MissingMetric as exc:
-        flags.append(f"error:induced_complexity={exc}")
-    try:
-        composites.append(quantum_complexity(mv, cfg.alpha_weights))
-    except MissingMetric as exc:
-        flags.append(f"error:quantum_complexity={exc}")
-
-    return ComplexityReport(
-        config_hash=config_hash_hex(cfg),
-        seed=cfg.seed,
-        dataset=ds.describe(),
-        metrics=mv,
-        composites=composites,
-        resource_estimate=resource,
-        flags=flags,
-        timings_ms=timer.timings,
-    )
+    builders = [
+        ("induced_complexity", lambda: induced_complexity(mv, cfg.beta_weights, fm_kind)),
+        ("quantum_complexity", lambda: quantum_complexity(mv, cfg.alpha_weights)),
+    ]
+    return _assemble(cfg, ds.describe(), mv, flags, builders, timings_ms=timer.timings)
 
 
 def barren_study_report(
@@ -391,16 +362,8 @@ def barren_study_report(
     )
     mv = MetricVector()
     mv.add("fitted_slope", study.fitted_slope, (-2.0, 0.0))
-    report = ComplexityReport(
-        config_hash=config_hash_hex(cfg),
-        seed=cfg.seed,
-        dataset={"source": f"barren_study:n={n_min}..{n_max},depth={depth}"},
-        metrics=mv,
-        composites=[],
-        gradient_study=study,
-        flags=[f"cost_kind={cost_kind}"],
-    )
-    return study, report
+    dataset = {"source": f"barren_study:n={n_min}..{n_max},depth={depth}"}
+    return study, _assemble(cfg, dataset, mv, [f"cost_kind={cost_kind}"], gradient_study=study)
 
 
 def render_report(obj: dict) -> str:

@@ -238,7 +238,21 @@ class QuantumTopologyDetail:
     diameter: float
 
 
-def quantum_topology_detail(e: QuantumEnsemble, gram: np.ndarray, cfg: ConfigProfile) -> QuantumTopologyDetail:
+def rips_persistence(dm: DistanceMatrix, cfg: ConfigProfile) -> PersistenceDiagram:
+    """Persistence of the Rips filtration of `dm` under the config's scale cap,
+    homology dimension and point cap: the one Rips call of every verb."""
+    filtration = rips_filtration(dm, max_scale=cfg.rips_max_scale, max_dim=cfg.max_homology_dim, point_cap=cfg.rips_point_cap)
+    return persistence_diagram(filtration)
+
+
+def add_topological_complexity(mv: MetricVector, name: str, diagram: PersistenceDiagram, diameter: float, n_points: int, cfg: ConfigProfile) -> None:
+    """Record topological_complexity(diagram) as entry `name`, normalized
+    against its pinned bound sum(w_topology) * N * diameter."""
+    bound = max(sum(cfg.w_topology) * n_points * max(diameter, 1e-12), 1e-12)
+    mv.add(name, topological_complexity(diagram, cfg.w_topology), (0.0, bound))
+
+
+def quantum_topology_detail(gram: np.ndarray, cfg: ConfigProfile) -> QuantumTopologyDetail:
     """TEE, Euler characteristic, and persistence of the fidelity point cloud.
 
     `gram` is the ensemble's fidelity Gram matrix; distances are
@@ -250,8 +264,7 @@ def quantum_topology_detail(e: QuantumEnsemble, gram: np.ndarray, cfg: ConfigPro
     evaluates the combination for any blocks).
     """
     dm = DistanceMatrix(values=fidelity_distances(gram))
-    filtration = rips_filtration(dm, max_scale=cfg.rips_max_scale, max_dim=cfg.max_homology_dim, point_cap=cfg.rips_point_cap)
-    diagram = persistence_diagram(filtration)
+    diagram = rips_persistence(dm, cfg)
     euler_scale = cfg.euler_scale_fraction * diagram.max_scale
     euler = euler_characteristic(diagram, euler_scale)
     pers = sum(total_persistence(diagram, k) for k in range(cfg.max_homology_dim + 1))
@@ -286,7 +299,7 @@ def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, flags: list[str] | N
     gram = ensemble_gram(e)
     rank = effective_rank(gram_spectrum(gram))
     try:
-        detail = quantum_topology_detail(e, gram, cfg)
+        detail = quantum_topology_detail(gram, cfg)
     except DataComplexityError as exc:
         if flags is None:
             raise
@@ -310,12 +323,10 @@ def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, flags: list[str] | N
     mv.add("m3_entanglement_entropy", entropy, (0.0, max(1, n // 2)))
     mv.add("m4_kernel_flatness", rank / size, (0.0, 1.0))
     if detail is not None:
-        diameter = max(detail.diameter, 1e-12)
         g1, g2, g3 = (float(g) for g in cfg.gamma_weights)
         ctopq = g1 * detail.s_topo + g2 * detail.euler + g3 * detail.persistence_sum
-        mv.add("quantum_topological_complexity", ctopq, (0.0, g1 * n + g2 * size + g3 * size * diameter))
-        m6 = topological_complexity(detail.diagram, cfg.w_topology)
-        mv.add("m6_embedding_topology", m6, (0.0, max(sum(cfg.w_topology) * size * diameter, 1e-12)))
+        mv.add("quantum_topological_complexity", ctopq, (0.0, g1 * n + g2 * size + g3 * size * max(detail.diameter, 1e-12)))
+        add_topological_complexity(mv, "m6_embedding_topology", detail.diagram, detail.diameter, size, cfg)
     return mv
 
 

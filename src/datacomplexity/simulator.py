@@ -598,15 +598,16 @@ def encoding_circuit(fm: FeatureMap, n_features: int) -> ParameterizedCircuit:
 def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
     """Map every row of an (N, d) matrix to a state: the (N, 2^n) amplitudes.
 
-    An angle row is the product state of RY(pi * x~_j)|0> on qubit j, its
-    per-qubit [cos, sin] factors multiplied in qubit order. No norm check is
-    made here; QuantumEnsemble checks the whole array once.
+    Angle rows run encoding_circuit through run_product_batch, one column per
+    row, and _fill_product multiplies the per-qubit factors in qubit order.
+    Beyond that engine's per-qubit check, no norm check is made here;
+    QuantumEnsemble checks the whole array once.
     """
     x = np.asarray(matrix, dtype=np.float64)
     rows, d = x.shape
     need = required_qubits(fm.kind, d)
     if need > fm.n_qubits:
-        raise CapacityError(f"{fm.kind} encoding of {d} features requires {need} qubits")
+        raise CapacityError(f"{fm.kind} encoding of {d} features requires {need} qubits, the register has {fm.n_qubits}")
     amps = np.zeros((rows, 2**fm.n_qubits), dtype=complex)
     if fm.kind == "amplitude":
         for i, row in enumerate(x):
@@ -617,13 +618,11 @@ def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
     elif fm.kind == "basis":
         amps[np.arange(rows), (x > 0.0) @ (1 << np.arange(d))] = 1.0
     else:
-        half = math.pi * _minmax_scale(fm, x) / 2.0
-        prod = np.ones((rows, 1))
-        for j in range(d):
-            # qubit j is bit j: its |1> factor fills the upper half of the index range
-            factors = np.array([[math.cos(t), math.sin(t)] for t in half[:, j]])
-            prod = (factors[:, :, None] * prod[:, None, :]).reshape(rows, -1)
-        amps[:, : 2**d] = prod  # qubits d..n-1 stay |0>
+        circuit = encoding_circuit(fm, d)
+        angles = circuit.rotation_angles(math.pi * _minmax_scale(fm, x).T)
+        axes = np.broadcast_to(circuit.axes[:, None], angles.shape)
+        factors = run_product_batch(fm.n_qubits, circuit.layout, axes, angles)
+        _fill_product(amps.T, factors[:d])  # qubits d..n-1 stay |0>
     return amps
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import os
 import tracemalloc
@@ -7,11 +9,13 @@ import tracemalloc
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datacomplexity.cli import main
 from datacomplexity.config import ConfigProfile
 from datacomplexity.report import REPORT_SCHEMA_V1
-from datacomplexity.simulator import MAX_QUBITS
+from datacomplexity.simulator import MAX_QUBITS, required_qubits
 from datacomplexity.synthetic import SyntheticSpec, generate, parse_synth_uri
 
 
@@ -241,6 +245,37 @@ def test_qprofile_angle_capacity_exit_3(capsys):
     assert "requires 15 qubits" in err
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    fm_kind=st.sampled_from(["basis", "angle", "amplitude"]),
+    d=st.integers(1, 17),
+    qubits=st.one_of(st.none(), st.integers(-2, 17)),
+)
+def test_qprofile_qubits_exit_codes(tmp_path_factory, fm_kind, d, qubits):
+    """A --qubits value outside 1..MAX_QUBITS is an argument error (exit 4)
+    whatever the data; a register too small for the rows, given or the
+    default one, is a capacity error (exit 3); any other run exits 0."""
+    cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    cfg.write_text('{"expressibility_samples": 100}')
+    argv = ["qprofile", f"synth:gaussian_blob:n=3,d={d}", "--map", fm_kind, "--config", str(cfg)]
+    if qubits is not None:
+        argv += ["--qubits", str(qubits)]
+    need = required_qubits(fm_kind, d)
+    if qubits is not None and not 1 <= qubits <= MAX_QUBITS:
+        expected, prefix = 4, "invalid configuration: "
+    elif need > (MAX_QUBITS if qubits is None else qubits):
+        expected, prefix = 3, "capacity error: "
+    else:
+        expected, prefix = 0, ""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == expected, err.getvalue()
+    if expected:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(prefix)
+
+
 def test_qprofile_partial_report_on_topology_failure(tmp_path, capsys):
     # more rows than the Rips cap: the topology entries and both composites
     # that read them become error flags of a partial report, exit 1
@@ -349,8 +384,12 @@ def test_barren_deterministic_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["barren", "--n-min", "2", "--n-max", "3", "--depth", "2", "--samples", "200"], ["profile", "synth:parity"]],
-    ids=["barren", "profile"],
+    [
+        ["barren", "--n-min", "2", "--n-max", "3", "--depth", "2", "--samples", "200"],
+        ["profile", "synth:parity"],
+        ["qprofile", "synth:gaussian_blob:n=16,d=3", "--map", "angle"],
+    ],
+    ids=["barren", "profile", "qprofile"],
 )
 def test_main_leaves_little_cyclic_garbage(args, tmp_path):
     """A call of main() leaves few objects that only the cycle collector

@@ -200,13 +200,13 @@ def test_zero_gamma_weights(product_plus_state):
 
 def test_identical_states_zero_persistence(bell_state):
     e = uniform_ensemble([bell_state] * 4)
-    detail = quantum_topology_detail(e, ensemble_gram(e), CFG)
+    detail = quantum_topology_detail(ensemble_gram(e), CFG)
     assert detail.persistence_sum == pytest.approx(0.0, abs=1e-6)
 
 
 def test_phase_ring_has_loop():
     e = phase_ring_ensemble()
-    detail = quantum_topology_detail(e, ensemble_gram(e), CFG)
+    detail = quantum_topology_detail(ensemble_gram(e), CFG)
     h1 = detail.diagram.bars(1)
     assert len(h1) >= 1
     assert sum(b.lifetime for b in h1) > 0.0
@@ -226,7 +226,7 @@ def test_tee_vanishes_on_pure_states_with_covering_tripartition(n):
     assert mean_bipartite_entropy(e) > 0.1  # the states are entangled
     tee = topological_entanglement_entropies(e.amplitudes, *default_tripartition(n))
     assert np.max(np.abs(tee)) <= 1e-12
-    assert quantum_topology_detail(e, ensemble_gram(e), CFG).s_topo == 0.0
+    assert quantum_topology_detail(ensemble_gram(e), CFG).s_topo == 0.0
 
 
 def test_default_tripartition_covers_register():

@@ -25,6 +25,7 @@ from datacomplexity.simulator import (
     ParameterizedCircuit,
     StateVector,
     encode,
+    encode_rows,
     encoding_circuit,
     expectation,
     fit_feature_map,
@@ -487,6 +488,29 @@ def test_encoding_circuit_matches_encode():
     direct = encode(fm, x).amplitudes
     via_circuit = run_circuit(circuit, math.pi * x).amplitudes
     assert direct == pytest.approx(via_circuit, abs=1e-10)
+
+
+def _angle_rows_reference(x: np.ndarray, n: int) -> np.ndarray:
+    """Angle rows written out: the [cos, sin] factors of RY(pi * x_j)|0> on
+    qubit j, multiplied in qubit order into the low 2^d amplitudes."""
+    rows, d = x.shape
+    prod = np.ones((rows, 1))
+    for j in range(d):
+        factors = np.array([[math.cos(t), math.sin(t)] for t in math.pi * x[:, j] / 2.0])
+        prod = (factors[:, :, None] * prod[:, None, :]).reshape(rows, -1)
+    amps = np.zeros((rows, 2**n), dtype=complex)
+    amps[:, : 2**d] = prod
+    return amps
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 3), (3, 3), (4, 6), (6, 6)])
+def test_angle_rows_match_written_out_product(d, n):
+    """encode_rows runs the encoding circuit through the product engine; its
+    rows equal the written-out product of cos/sin factors to rounding."""
+    x = SeededRng(700 + 10 * d + n).generator().uniform(0.0, 1.0, size=(9, d))
+    x[0], x[1] = 0.0, 1.0
+    amps = encode_rows(FeatureMap(kind="angle", n_qubits=n), x)
+    np.testing.assert_allclose(amps, _angle_rows_reference(x, n), rtol=0, atol=4 * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------

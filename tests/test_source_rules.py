@@ -1,16 +1,43 @@
-"""Runtime invariants in the package raise toolkit errors: an assert
-statement is stripped under `python -O`, so none may appear in src/."""
+"""Source rules for the package.
+
+Runtime invariants raise toolkit errors: an assert statement is stripped
+under `python -O`, so none may appear in src/. And the package imports only
+the standard library and its runtime dependencies, so that an installed
+toolkit (and its import time) needs nothing that only the tests use.
+"""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(SRC.rglob("*.py"))
+# pyproject.toml's [project] dependencies, plus the package itself
+RUNTIME_IMPORTS = {"numpy", "jsonschema", "datacomplexity"}
 
 
-@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_module_has_no_assert(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_module_imports_only_runtime_dependencies(path):
+    """Every import is stdlib, a runtime dependency or the package (relative
+    imports are the package): scipy, say, stays a test-only dependency."""
+    imported = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append((node.lineno, node.module))
+    allowed = set(sys.stdlib_module_names) | RUNTIME_IMPORTS
+    foreign = [(line, name) for line, name in imported if name.partition(".")[0] not in allowed]
+    assert foreign == [], f"{path.name} imports packages outside the runtime dependencies: {foreign}"
