@@ -21,7 +21,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, scale_by_max_magnitude
 from .errors import (
     DegenerateSpectrum,
     EmptyDataset,
@@ -32,6 +32,7 @@ from .errors import (
     NumericalError,
     OrderTooHigh,
 )
+from .topology import squared_distances
 
 CUMULANT_ORDER_CAP = 4
 EIGENVALUE_ZERO_REL = 1e-10  # eigenvalues below this * lambda_max count as zero
@@ -140,6 +141,14 @@ def kernel_effective_dimension(s: Spectrum, lam: float) -> float:
     return d_eff
 
 
+def entropy_bits(probs: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the entries p > 1e-12 of the last axis, in bits,
+    clamped at 0 (so never -0.0): the entropy of a distribution, a spectrum,
+    or a batch of spectra."""
+    probs = np.where(probs > 1e-12, probs, 1.0)  # 1 log2 1 adds nothing
+    return np.maximum(-(probs * np.log2(probs)).sum(axis=-1), 0.0)
+
+
 def distributional_entropy(ds: Dataset, bins: int) -> float:
     """Shannon entropy (bits) of the empirical distribution over binned rows.
 
@@ -148,11 +157,7 @@ def distributional_entropy(ds: Dataset, bins: int) -> float:
     """
     if bins < 1:
         raise InvalidConfig("bins must be >= 1")
-    # bin ids are invariant under per-column scaling; dividing by the max
-    # magnitude keeps ranges finite even for near-float64-max values
-    scale = np.max(np.abs(ds.matrix), axis=0)
-    scale[scale == 0.0] = 1.0
-    m = ds.matrix / scale
+    m = scale_by_max_magnitude(ds.matrix)  # bin ids are invariant under this scaling
     lo = m.min(axis=0)
     hi = m.max(axis=0)
     width = (hi - lo) / bins
@@ -161,8 +166,7 @@ def distributional_entropy(ds: Dataset, bins: int) -> float:
     if np.any(nz):
         ids[:, nz] = np.minimum(((m[:, nz] - lo[nz]) / width[nz]).astype(np.int64), bins - 1)
     _, counts = np.unique(ids, axis=0, return_counts=True)
-    p = counts / counts.sum()
-    return float(-(p * np.log2(p)).sum())
+    return float(entropy_bits(counts / counts.sum()))
 
 
 def _set_partitions(items: tuple[int, ...]):
@@ -270,6 +274,12 @@ def _cumulant_chunks(ds: Dataset, order: int):
         yield sets, _chunk_cumulants(xt, sets)
 
 
+def require_threshold(epsilon: float) -> None:
+    """The one check of a significance threshold epsilon: finite and > 0."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidConfig(f"epsilon must be finite and > 0, got {epsilon}")
+
+
 def interaction_order(ds: Dataset, epsilon: float) -> int:
     """Highest order k in 2..4 at which some cumulant's magnitude exceeds epsilon.
 
@@ -281,8 +291,7 @@ def interaction_order(ds: Dataset, epsilon: float) -> int:
     is significant: datasets with no detectable interactions get a defined
     floor.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise InvalidConfig(f"epsilon must be finite and > 0, got {epsilon}")
+    require_threshold(epsilon)
     if not ds.is_standardized:
         raise NotStandardized("interaction order is defined on standardized data")
     for k in range(min(CUMULANT_ORDER_CAP, ds.n_features), 1, -1):
@@ -316,10 +325,7 @@ def kernel_gram(ds: Dataset, kind: str = "rbf", bandwidth: float = 1.0) -> np.nd
     elif kind == "rbf":
         if bandwidth <= 0:
             raise InvalidConfig("rbf bandwidth must be > 0")
-        sq = np.sum(x**2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        np.clip(d2, 0.0, None, out=d2)
-        gram = np.exp(-d2 / (2.0 * bandwidth**2))
+        gram = np.exp(-squared_distances(x) / (2.0 * bandwidth**2))
         np.fill_diagonal(gram, 1.0)
     else:
         raise InvalidConfig(f"unknown kernel kind {kind!r}")

@@ -33,19 +33,14 @@ def fnv1a64(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class SeededRng:
-    """Reproducible random source.
+    """Reproducible random source: numpy's PCG64 bit generator.
 
-    Identical ``(seed, algorithm_id)`` pairs reproduce identical streams
-    bit-for-bit. Child streams are derived from ``(seed, *keys)`` so that
-    per-sample work is independent of evaluation order.
+    Identical seeds reproduce identical streams bit-for-bit. Child streams
+    are derived from ``(seed, *keys)`` so that per-sample work is
+    independent of evaluation order.
     """
 
     seed: int
-    algorithm_id: str = "pcg64"
-
-    def __post_init__(self):
-        if self.algorithm_id != "pcg64":
-            raise InvalidConfig(f"unknown rng algorithm {self.algorithm_id!r}")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))

@@ -6,6 +6,9 @@ standardized columns have sample variance exactly 1, matching the k-statistic
 conventions of the cumulant estimators. Constant columns are zeroed and
 flagged rather than dropped, which keeps column indices aligned.
 
+Files are CSV or JSON by their name alone: a .json extension (any case) is
+JSON, anything else CSV, on load and on save alike.
+
 The canonical byte layout used by serialization and the compression proxy is
 row-major little-endian IEEE-754 float64 (see docs/serialization.md).
 """
@@ -112,18 +115,17 @@ def _parse_rows(rows: list[list[str]], source: str, has_header: bool) -> Dataset
     return Dataset(matrix=out, column_names=names, source=source)
 
 
-def load_dataset(path: str, format: str | None = None, has_header: bool = False) -> Dataset:
-    """Load a CSV or JSON table into a Dataset.
+def _is_json(path: str) -> bool:
+    """The format of a dataset file: JSON for a .json extension (any case), CSV otherwise."""
+    return str(path).lower().endswith(".json")
+
+
+def load_dataset(path: str, has_header: bool = False) -> Dataset:
+    """Load a CSV or JSON table into a Dataset, by extension (_is_json).
 
     CSV is RFC-4180-style with '.' as the decimal separator. JSON is an
     array-of-arrays under the key "data" with an optional "columns" list.
-    Format is inferred from the extension when not given.
     """
-    if format is None:
-        format = "json" if str(path).lower().endswith(".json") else "csv"
-    if format not in ("csv", "json"):
-        raise ParseError(f"unsupported format {format!r}")
-
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
@@ -132,7 +134,7 @@ def load_dataset(path: str, format: str | None = None, has_header: bool = False)
     if not text.strip():
         raise EmptyDataset(f"{path}: empty file")
 
-    if format == "csv":
+    if not _is_json(path):
         try:
             rows = [row for row in csv.reader(io.StringIO(text)) if row]
         except csv.Error as exc:
@@ -158,16 +160,10 @@ def load_dataset(path: str, format: str | None = None, has_header: bool = False)
     return ds
 
 
-def save_dataset(ds: Dataset, path: str, format: str | None = None) -> None:
-    """Write a dataset back out; float64 values round-trip via repr."""
-    if format is None:
-        format = "json" if str(path).lower().endswith(".json") else "csv"
-    if format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in ds.matrix:
-                writer.writerow([repr(float(v)) for v in row])
-    elif format == "json":
+def save_dataset(ds: Dataset, path: str) -> None:
+    """Write a dataset back out in the format of its extension (_is_json);
+    float64 values round-trip via repr."""
+    if _is_json(path):
         payload = {
             "data": [[float(v) for v in row] for row in ds.matrix],
             "columns": list(ds.column_names),
@@ -175,7 +171,19 @@ def save_dataset(ds: Dataset, path: str, format: str | None = None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
     else:
-        raise ParseError(f"unsupported format {format!r}")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in ds.matrix:
+                writer.writerow([repr(float(v)) for v in row])
+
+
+def scale_by_max_magnitude(m: np.ndarray) -> np.ndarray:
+    """Each column divided by its largest magnitude (an all-zero column by 1),
+    so that ranges, means and squared deviations stay finite even for values
+    near the float64 maximum."""
+    scale = np.max(np.abs(m), axis=0)
+    scale[scale == 0.0] = 1.0
+    return m / scale
 
 
 def standardize(ds: Dataset) -> Dataset:
@@ -187,12 +195,7 @@ def standardize(ds: Dataset) -> Dataset:
     if ds.n_samples < 2:
         raise InsufficientSamples("standardization needs N >= 2 rows")
     m = ds.matrix
-    # pre-scale each column by its max magnitude so that means and squared
-    # deviations cannot overflow even for values near the float64 maximum;
-    # z-scores are invariant under this scaling
-    scale = np.max(np.abs(m), axis=0)
-    scale[scale == 0.0] = 1.0
-    scaled = m / scale
+    scaled = scale_by_max_magnitude(m)  # z-scores are invariant under this scaling
     mu = scaled.mean(axis=0)
     sd = scaled.std(axis=0, ddof=1)
     constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mu))

@@ -15,10 +15,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .classical import cumulant_from_moments
+from .classical import cumulant_from_moments, entropy_bits, require_threshold
 from .config import SeededRng
 from .errors import (
-    ArityError,
     EnsembleError,
     InvalidConfig,
     InvalidState,
@@ -125,13 +124,6 @@ class GradientStudy:
         for n, v in zip(self.n_range, self.variances):
             lines.append(f"{n},{v!r}")
         return "\n".join(lines) + "\n"
-
-
-def entropy_bits(probs: np.ndarray) -> np.ndarray:
-    """-sum p log2 p over the entries p > 1e-12 of the last axis, in bits,
-    clamped at 0: the entropy of a spectrum, or of a batch of spectra."""
-    probs = np.where(probs > 1e-12, probs, 1.0)  # 1 log2 1 adds nothing
-    return np.maximum(-(probs * np.log2(probs)).sum(axis=-1), 0.0)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -258,30 +250,25 @@ def connected_correlator(state: StateVector, observables, _cache: dict | None = 
 def quantum_interaction_order(state: StateVector, epsilon: float, axes=("X", "Z")) -> int:
     """Largest order k in 2..4 with a connected correlator above epsilon.
 
-    Scans all distinct-qubit index sets and all Pauli assignments from `axes`
-    in a fixed lexicographic order; returns 1 when nothing is significant.
+    Orders are scanned from min(4, n) down to 2, as in
+    classical.interaction_order, each over all distinct-qubit index sets and
+    all Pauli assignments from `axes` in a fixed lexicographic order, and the
+    scan stops at the first significant correlator; returns 1 when nothing is
+    significant.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise InvalidConfig(f"epsilon must be finite and > 0, got {epsilon}")
+    require_threshold(epsilon)
     axes = tuple(a.upper() for a in axes)
     if any(a not in "XYZ" for a in axes):
         raise InvalidConfig(f"axes must be Pauli letters, got {axes}")
     n = state.n_qubits
     cache: dict = {}
-    result = 1
-    for k in range(2, min(CORRELATOR_ORDER_CAP, n) + 1):
-        found = False
-        for qubits in combinations(range(n), k):
-            for assignment in product(axes, repeat=k):
-                c = connected_correlator(state, list(zip(qubits, assignment)), _cache=cache)
-                if abs(c) > epsilon:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            result = k
-    return result
+    for k in range(min(CORRELATOR_ORDER_CAP, n), 1, -1):
+        observables = (
+            list(zip(qubits, paulis)) for qubits in combinations(range(n), k) for paulis in product(axes, repeat=k)
+        )
+        if any(abs(connected_correlator(state, obs, _cache=cache)) > epsilon for obs in observables):
+            return k
+    return 1
 
 
 def haar_fidelity_pdf(n_qubits: int, fidelity: float) -> float:
@@ -368,7 +355,7 @@ def expressibility_kl(c: ParameterizedCircuit, n_samples: int, bins: int, rng: S
     return float(np.sum(p * np.log(p / q)))
 
 
-def _shift_gradients(n: int, layout, axes, angles, rows, cost_pauli: str, coeff: float) -> np.ndarray:
+def _shift_gradients(n: int, layout, axes, angles, rows, cost_pauli: str) -> np.ndarray:
     """Parameter-shift derivatives of B circuits of one layout.
 
     `axes` and `angles` are (R, B). Each row in `rows` contributes
@@ -383,7 +370,7 @@ def _shift_gradients(n: int, layout, axes, angles, rows, cost_pauli: str, coeff:
         angles[r, j::width] += sign * math.pi / 2.0
     values = np.empty(axes.shape[1])
     for cols, block in run_batch(n, layout, axes, angles, group=width):
-        values[cols] = coeff * pauli_expectations(block, cost_pauli)
+        values[cols] = pauli_expectations(block, cost_pauli)
     values = values.reshape(-1, width)
     total = np.zeros(values.shape[0])
     for j, (_, sign) in enumerate(shifts):
@@ -391,17 +378,14 @@ def _shift_gradients(n: int, layout, axes, angles, rows, cost_pauli: str, coeff:
     return total
 
 
-def gradient(c: ParameterizedCircuit, theta, cost_pauli: str, k: int, coeff: float = 1.0) -> float:
+def gradient(c: ParameterizedCircuit, theta, cost_pauli: str, k: int) -> float:
     """Parameter-shift derivative of <cost> with respect to parameter k.
 
     Each occurrence of the slot contributes (C(+pi/2) - C(-pi/2)) / 2 with
     only that gate shifted; the single-occurrence case is the textbook rule.
     """
     angles = c.rotation_angles(theta)[:, None]
-    rows = np.flatnonzero((c.slots == k) & (c.slots >= 0))  # empty unless k is in 0..n_params-1
-    if not rows.size:
-        raise ArityError(f"parameter index {k} out of range (n_params={c.n_params})")
-    return float(_shift_gradients(c.n_qubits, c.layout, c.axes[:, None], angles, rows, cost_pauli, coeff)[0])
+    return float(_shift_gradients(c.n_qubits, c.layout, c.axes[:, None], angles, c.slot_rows(k), cost_pauli)[0])
 
 
 def pure_state_qfi(c: ParameterizedCircuit, theta, k: int) -> float:
@@ -412,9 +396,7 @@ def pure_state_qfi(c: ParameterizedCircuit, theta, k: int) -> float:
     State and shifted states run as one batch.
     """
     base = c.rotation_angles(theta)
-    rows = np.flatnonzero((c.slots == k) & (c.slots >= 0))  # empty unless k is in 0..n_params-1
-    if not rows.size:
-        raise ArityError(f"parameter index {k} out of range (n_params={c.n_params})")
+    rows = c.slot_rows(k)
     angles = np.repeat(base[:, None], 1 + len(rows), axis=1)
     angles[rows, np.arange(1, 1 + len(rows))] += math.pi
     axes = np.repeat(c.axes[:, None], 1 + len(rows), axis=1)
@@ -495,7 +477,7 @@ def gradient_variance_study(
             gen = rng.child(n, i)
             axes[i] = layered_axes(n, depth, gen)
             angles[i] = gen.uniform(0.0, 2.0 * math.pi, size=n * depth)
-        grads = _shift_gradients(n, layered_layout(n, depth), axes.T, angles.T, (0,), cost, 1.0)
+        grads = _shift_gradients(n, layered_layout(n, depth), axes.T, angles.T, (0,), cost)
         variances.append(float(np.var(grads)))
 
     ns = np.asarray(n_range, dtype=np.float64)

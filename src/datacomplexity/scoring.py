@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import effective_rank, gram_spectrum
+from .classical import effective_rank, entropy_bits, gram_spectrum
 from .config import ConfigProfile, SeededRng
 from .dataset import Dataset
 from .errors import (
@@ -46,7 +46,6 @@ from .qmetrics import (
     QuantumEnsemble,
     collective_z_qfis,
     ensemble_gram,
-    entropy_bits,
     expressibility_kl,
     fidelity_distances,
     reduced_entropies,
@@ -232,7 +231,6 @@ def default_tripartition(n: int) -> tuple[list[int], list[int], list[int]]:
 class QuantumTopologyDetail:
     s_topo: float
     euler: int
-    euler_scale: float
     persistence_sum: float
     diagram: PersistenceDiagram
     diameter: float
@@ -265,13 +263,11 @@ def quantum_topology_detail(gram: np.ndarray, cfg: ConfigProfile) -> QuantumTopo
     """
     dm = DistanceMatrix(values=fidelity_distances(gram))
     diagram = rips_persistence(dm, cfg)
-    euler_scale = cfg.euler_scale_fraction * diagram.max_scale
-    euler = euler_characteristic(diagram, euler_scale)
+    euler = euler_characteristic(diagram, cfg.euler_scale_fraction * diagram.max_scale)
     pers = sum(total_persistence(diagram, k) for k in range(cfg.max_homology_dim + 1))
     return QuantumTopologyDetail(
         s_topo=0.0,
         euler=euler,
-        euler_scale=euler_scale,
         persistence_sum=pers,
         diagram=diagram,
         diameter=dm.diameter(),

@@ -9,17 +9,18 @@ ordering. Pauli strings are written with character j acting on qubit j
 Capped at 14 qubits: exact desk-scale simulation, no shot noise, no noise
 channels (the gate-error model is a closed-form expression elsewhere).
 
-Circuits run on one batched engine, run_batch. A block holds B states as a
-(2^n, B) complex array with the sample axis last and contiguous; the B
-circuits share one gate layout (ParameterizedCircuit.layout) and differ only
-in the axis and angle of each rotation. Rotations are a two-term elementwise
-update with per-column (2, 2, B) coefficients, computed per chunk from the
-(R, B) axis and angle arrays in row slices of at most COEFF_BYTES. The update
-(_rotate) has two forms with the same products in the same order, so the
-same bits: at low qubits a gather of the pair partners plus whole-period
-diagonal and flip patterns, at high qubits an update of the two half views;
-either way numpy's inner loops are about _INNER_RUN amplitudes long, and a
-rotation costs about the same at every qubit. Each maximal run of
+Circuits run on one batched engine, run_batch, and every circuit starts
+from |0...0>. A block holds B states as a (2^n, B) complex array with the
+sample axis last and contiguous; the B circuits share one gate layout
+(ParameterizedCircuit.layout) and differ only in the axis and angle of each
+rotation. Rotations are a two-term elementwise update with per-column
+(2, 2, B) coefficients, computed per chunk from the (R, B) axis and angle
+arrays in row slices of at most COEFF_BYTES. The update (_rotate) has two
+forms with the same products in the same order, so the same bits: at low
+qubits a gather of the pair partners plus whole-period diagonal and flip
+patterns, at high qubits an update of the two half views; either way numpy's
+inner loops are about _INNER_RUN amplitudes long, and a rotation costs about
+the same at every qubit. Each maximal run of
 consecutive CNOT/CZ gates is folded into one cached index permutation and
 sign mask, so the CNOT ladder of a layered-ansatz layer is one gather;
 Z-string expectations are signs @ |amps|^2 over a cached parity table.
@@ -30,10 +31,10 @@ one-column call into it.
 A layout without CNOT/CZ (is_entangling is False) leaves |0...0> a product
 state, and run_product_batch runs it qubit by qubit: each qubit's gates act
 on its own (2, B) block with the same two-term update, so no 2^n array is
-formed. run_batch does the same for the leading gates of any layout started
-from |0...0> (_product_prefix; the first rotation layer of the layered
-ansatz) and fills the block from the product of those factors, bit-equal to
-running the gates on the block.
+formed. run_batch does the same for the leading gates of any layout
+(_product_prefix; the first rotation layer of the layered ansatz) and fills
+the block from the product of those factors, bit-equal to running the gates
+on the block.
 
 Feature maps encode a whole data matrix at once (encode_rows) into an
 (N, 2^n) array, one state per row; angle rows are product states built from
@@ -129,12 +130,6 @@ class StateVector:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    def inner(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "StateVector") -> float:
-        return float(abs(self.inner(other)) ** 2)
 
 
 def zero_state(n_qubits: int) -> StateVector:
@@ -246,6 +241,14 @@ class ParameterizedCircuit:
         angles[free] = theta[self.slots[free]]
         angles[~free] = self.fixed_angles[~free].reshape((-1,) + (1,) * (theta.ndim - 1))
         return angles
+
+    def slot_rows(self, k) -> np.ndarray:
+        """The rotations that read parameter slot k, in gate order; the one
+        check of k against n_params."""
+        rows = np.flatnonzero((self.slots == k) & (self.slots >= 0))  # empty unless k is in 0..n_params-1
+        if not rows.size:
+            raise ArityError(f"parameter index {k} out of range (n_params={self.n_params})")
+        return rows
 
     def to_json_obj(self) -> dict:
         recs = []
@@ -455,26 +458,25 @@ def run_batch(
     layout,
     axes: np.ndarray,
     angles: np.ndarray,
-    start: np.ndarray | None = None,
     group: int = 1,
 ):
-    """Run B circuits of one gate layout; yield (columns, block) per chunk.
+    """Run B circuits of one gate layout from |0...0>; yield (columns, block)
+    per chunk.
 
     `axes` and `angles` are (R, B): rotation r of column b is
-    ROTATION_GATES[axes[r, b]] by angles[r, b]. Every column starts from
-    `start` (default |0...0>). From |0...0>, the leading single-qubit gates
-    of _product_prefix run on per-qubit (2, B) factors and the block is filled
-    from their product, bit-equal to running them on the block. Columns run
-    in chunks: a block and a spare buffer of the same size, CHUNK_BYTES
-    together, serve every chunk, so a yielded block is only valid until the
-    next one is requested. A chunk is a multiple of `group` columns, so a
+    ROTATION_GATES[axes[r, b]] by angles[r, b]. The leading single-qubit
+    gates of _product_prefix run on per-qubit (2, B) factors and the block is
+    filled from their product, bit-equal to running them on the block.
+    Columns run in chunks: a block and a spare buffer of the same size,
+    CHUNK_BYTES together, serve every chunk, so a yielded block is only valid
+    until the next one is requested. A chunk is a multiple of `group` columns, so a
     group of related states (a parameter-shift pair, a fidelity pair) lands in
     one block. Every state of a block passes the StateVector norm check before
     the block is yielded.
     """
     n = n_qubits
     steps = _program(n, layout)
-    prefix, prefix_qubits = _product_prefix(layout) if start is None else (0, 0)
+    prefix, prefix_qubits = _product_prefix(layout)
     total = axes.shape[1]
     width = min(total, max(1, CHUNK_BYTES // (32 * 2**n) // group) * group)
     buffers = np.empty((2, 2**n * width), dtype=complex)
@@ -483,10 +485,7 @@ def run_batch(
         b = cols.stop - lo
         block, spare = (buf[: 2**n * b].reshape(2**n, b) for buf in buffers)
         coeffs = _coefficient_rows(axes[:, cols], angles[:, cols])
-        if start is None:
-            _fill_product(block, _product_factors(prefix_qubits, layout[:prefix], coeffs, b))
-        else:
-            block[:] = start[:, None]
+        _fill_product(block, _product_factors(prefix_qubits, layout[:prefix], coeffs, b))
         for kind, a, c in steps[prefix:]:  # a prefix has no CNOT/CZ: one step per gate
             if kind == "perm":
                 # mode="raise" would buffer `out` in a copy; perm is in range
@@ -521,20 +520,16 @@ def run_product_batch(n_qubits: int, layout, axes: np.ndarray, angles: np.ndarra
     return factors
 
 
-def run_with_angles(c: ParameterizedCircuit, angles: np.ndarray, state: StateVector) -> StateVector:
-    """Apply the gate list with rotation r by angles[r], (R,): one column through run_batch."""
-    ((_, block),) = run_batch(c.n_qubits, c.layout, c.axes[:, None], angles[:, None], start=state.amplitudes)
+def run_with_angles(c: ParameterizedCircuit, angles: np.ndarray) -> StateVector:
+    """The state the gate list makes from |0...0> with rotation r by angles[r],
+    (R,): one column through run_batch."""
+    ((_, block),) = run_batch(c.n_qubits, c.layout, c.axes[:, None], angles[:, None])
     return StateVector(n_qubits=c.n_qubits, amplitudes=block[:, 0])
 
 
-def run_circuit(c: ParameterizedCircuit, theta, state: StateVector | None = None) -> StateVector:
-    """Apply every gate in order to `state` (default |0...0>)."""
-    angles = c.rotation_angles(theta)
-    if state is None:
-        state = zero_state(c.n_qubits)
-    if state.n_qubits != c.n_qubits:
-        raise ArityError("state and circuit qubit counts differ")
-    return run_with_angles(c, angles, state)
+def run_circuit(c: ParameterizedCircuit, theta) -> StateVector:
+    """The state the circuit makes from |0...0> at parameters theta."""
+    return run_with_angles(c, c.rotation_angles(theta))
 
 
 @dataclass(frozen=True)
@@ -719,9 +714,9 @@ def pauli_expectations(block: np.ndarray, pauli: str) -> np.ndarray:
     return values.real
 
 
-def expectation(state: StateVector, pauli: str, coeff: float = 1.0) -> float:
-    """<psi| coeff * P |psi>; character j of `pauli` acts on qubit j."""
-    return coeff * float(pauli_expectations(state.amplitudes[:, None], pauli)[0])
+def expectation(state: StateVector, pauli: str) -> float:
+    """<psi|P|psi>; character j of `pauli` acts on qubit j."""
+    return float(pauli_expectations(state.amplitudes[:, None], pauli)[0])
 
 
 @lru_cache(maxsize=64)
@@ -741,13 +736,11 @@ def layered_axes(n_qubits: int, depth: int, gen: np.random.Generator) -> np.ndar
     return gen.integers(0, 3, size=(depth, n_qubits)).ravel()
 
 
-def random_layered_circuit(n_qubits: int, depth: int, rng) -> ParameterizedCircuit:
-    """Hardware-efficient ansatz: layered_layout with the axes of layered_axes.
-
-    `rng` is a numpy Generator or anything exposing `.generator()` (SeededRng).
-    """
+def random_layered_circuit(n_qubits: int, depth: int, gen: np.random.Generator) -> ParameterizedCircuit:
+    """Hardware-efficient ansatz: layered_layout with the axes layered_axes
+    draws from `gen`."""
     layout = layered_layout(n_qubits, depth)
-    axes = layered_axes(n_qubits, depth, rng.generator() if hasattr(rng, "generator") else rng)
+    axes = layered_axes(n_qubits, depth, gen)
     gates, slot = [], 0
     for name, qubits in layout:
         if name == "R":

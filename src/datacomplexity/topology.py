@@ -73,13 +73,18 @@ class DistanceMatrix:
         return float(self.values.max()) if self.n > 1 else 0.0
 
 
-def distance_matrix_from_points(points: np.ndarray) -> DistanceMatrix:
-    """Euclidean distances of a point cloud (rows = points)."""
-    x = np.asarray(points, dtype=np.float64)
+def squared_distances(x: np.ndarray) -> np.ndarray:
+    """(N, N) squared Euclidean distances |a|^2 + |b|^2 - 2 a.b of the rows
+    of x, clipped at 0 against rounding; the diagonal is left as computed."""
     sq = np.sum(x**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.clip(d2, 0.0, None, out=d2)
-    d = np.sqrt(d2)
+    return d2
+
+
+def distance_matrix_from_points(points: np.ndarray) -> DistanceMatrix:
+    """Euclidean distances of a point cloud (rows = points)."""
+    d = np.sqrt(squared_distances(np.asarray(points, dtype=np.float64)))
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(values=d)
 

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import os
 import tracemalloc
 
@@ -204,6 +205,34 @@ def test_profile_all_constant_csv_partial_report(tmp_path, capsys):
     assert "error:intrinsic_dimension=all eigenvalues are zero" in report["flags"]
     assert "intrinsic_dimension" not in report["metrics"]
     assert "kernel_effective_rank" in report["metrics"]
+
+
+def report_floats(node, key=None):
+    """(key, value) of every float in a parsed report, at any depth."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from report_floats(v, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from report_floats(v, key)
+    elif isinstance(node, float):
+        yield key, node
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("rows", ["1,2,3\n" * 4, "1,2,3\n"], ids=["constant_4_rows", "one_row"])
+def test_one_bin_profile_reports_no_negative_zero(rows, seed, tmp_path, capsys):
+    """Rows that all fall in one bin have entropy 0.0; no report float is
+    -0.0, and every normalized entry lies in [0, 1]."""
+    path = tmp_path / "data.csv"
+    path.write_text(rows)
+    code, out, _ = run_cli(["profile", str(path), "--seed", str(seed)], capsys)
+    assert code in (0, 1)
+    floats = list(report_floats(json.loads(out)))
+    assert ("raw", 0.0) in floats
+    assert [key for key, v in floats if v == 0.0 and math.copysign(1.0, v) < 0] == []
+    normalized = [v for key, v in floats if key == "normalized"]
+    assert normalized and all(0.0 <= v <= 1.0 for v in normalized)
 
 
 # ---------------------------------------------------------------------------

@@ -204,13 +204,11 @@ def test_engine_batch_matches_dense_oracle(n, monkeypatch):
     n_rotations = sum(g.name in ROTATION_GATES for g in circuit.gates)
     axes = rng.integers(0, 3, size=(n_rotations, 8)).astype(np.int8)
     angles = rng.uniform(-2 * math.pi, 2 * math.pi, size=axes.shape)
-    start = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    start /= np.linalg.norm(start)
     paulis = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(3)] + ["Z" * n]
-    for group, init in ((1, None), (2, start)):
-        initial = zero_state(n).amplitudes if init is None else init
+    initial = zero_state(n).amplitudes
+    for group in (1, 2):
         seen = []
-        for cols, block in run_batch(n, circuit.layout, axes, angles, start=init, group=group):
+        for cols, block in run_batch(n, circuit.layout, axes, angles, group=group):
             assert (cols.stop - cols.start) % group == 0
             values = {p: pauli_expectations(block, p) for p in paulis}
             for k, j in enumerate(range(cols.start, cols.stop)):
@@ -317,13 +315,12 @@ def prefixed_circuit(rng, n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_product_prefix_is_bit_equal_to_zero_start(n, monkeypatch):
-    """From |0...0>, run_batch builds the leading single-qubit gates from
-    per-qubit factors; the blocks equal those of an explicit |0...0> start,
-    bit for bit, on the layered ansatz, on random layouts with a product
-    prefix and on random layouts."""
+    """run_batch builds the leading single-qubit gates from per-qubit factors;
+    the blocks equal those of running every gate on the block from |0...0>
+    (the full-block path, an empty prefix), bit for bit, on the layered
+    ansatz, on random layouts with a product prefix and on random layouts."""
     monkeypatch.setattr(simulator, "CHUNK_BYTES", 3 * 32 * 2**n)  # several chunks
     rng = SeededRng(600 + n).generator()
-    zero = zero_state(n).amplitudes
     cases = [(layered_layout(n, 3), n)]
     for _ in range(3):
         circuit, prefix = prefixed_circuit(rng, n)
@@ -335,17 +332,36 @@ def test_product_prefix_is_bit_equal_to_zero_start(n, monkeypatch):
         axes = rng.integers(0, 3, size=(n_rotations, 7)).astype(np.int8)
         angles = rng.uniform(-2 * math.pi, 2 * math.pi, size=axes.shape)
         filled = [block.copy() for _, block in run_batch(n, layout, axes, angles)]
-        started = [block.copy() for _, block in run_batch(n, layout, axes, angles, start=zero)]
+        with monkeypatch.context() as mp:
+            mp.setattr(simulator, "_product_prefix", lambda layout: (0, 0))
+            started = [block.copy() for _, block in run_batch(n, layout, axes, angles)]
         assert len(filled) == len(started) == 3
         assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(filled, started))
 
 
-def test_engine_rejects_bad_norm():
+def test_engine_rejects_bad_norm(monkeypatch):
+    """A block whose states lose unit norm, through the product fill of the
+    first layer or through a gate after it, raises before it is yielded."""
     circuit = random_layered_circuit(3, 2, SeededRng(4).generator())
+    layout = circuit.layout + (("X", (1,)),)
+    assert simulator._product_prefix(layout)[0] == 3  # the X runs on the block
     axes = np.repeat(circuit.axes[:, None], 4, axis=1)
     angles = np.zeros(axes.shape)
-    with pytest.raises(InvalidState):
-        list(run_batch(3, circuit.layout, axes, angles, start=1.5 * zero_state(3).amplitudes))
+    fill = simulator._fill_product
+
+    def scaled_fill(block, factors):
+        fill(block, factors)
+        block *= 1.5
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simulator, "_fill_product", scaled_fill)
+        with pytest.raises(InvalidState):
+            list(run_batch(3, layout, axes, angles))
+    with monkeypatch.context() as mp:
+        mp.setitem(simulator.FIXED_GATES, "X", 1.5 * FIXED_GATES["X"])
+        with pytest.raises(InvalidState):
+            list(run_batch(3, layout, axes, angles))
+    list(run_batch(3, layout, axes, angles))  # unpatched, the same run passes
 
 
 def test_norm_preserved_through_deep_circuit():
