@@ -9,9 +9,12 @@ is what reports record for reproducibility.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,23 +34,141 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4 uint32
+# words, hashed and mixed with these constants.
+_POOL = 4
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+# Seed states are derived for at most this many children at a time, so that
+# a long run holds 32 bytes of state per child of one block, not per sample.
+_CHILD_BLOCK = 4096
+
+
+def _stream_index(value, what: str) -> int:
+    """A seed or stream key: a non-negative integer, not a bool."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        index = operator.index(value)
+    except TypeError:
+        raise InvalidConfig(f"{what} must be an integer, got {value!r}") from None
+    if index < 0:
+        raise InvalidConfig(f"{what} must be >= 0, got {index}")
+    return index
+
+
+def _words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer; [0] for 0."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+def _seed_states(head: list[int], last: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy words head + [last[i]]).generate_state(4, uint64)
+    for every i, as a (len(last), 4) array. head holds the seed's words
+    padded to the pool size and then the prefix keys' words, which is how
+    SeedSequence assembles entropy and a non-empty spawn key."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    entropy = [np.uint32(w) for w in head] + [last]
+    with np.errstate(over="ignore"):
+        pool = [hashmix(entropy[j]) for j in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        hash_const = _INIT_B
+        state = np.empty((len(last), 2 * _POOL), dtype=np.uint32)
+        for k in range(2 * _POOL):
+            value = pool[k % _POOL] ^ hash_const
+            hash_const = hash_const * _MULT_B
+            value = value * hash_const
+            state[:, k] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _given_state() -> type:
+    """A seed sequence type whose state is already derived: PCG64 seeds
+    itself from generate_state(4, uint64), which returns the given row. It
+    is built on first use because numpy imports numpy.random, which defines
+    ISeedSequence, only when it is first used (about 20 ms)."""
+
+    class GivenState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return GivenState
+
+
+def _spawn(head: list[int], count: int) -> Iterator[np.random.Generator]:
+    given_state = _given_state()
+    for start in range(0, count, _CHILD_BLOCK):
+        index = np.arange(start, min(start + _CHILD_BLOCK, count), dtype=np.uint32)
+        for row in _seed_states(head, index):
+            yield np.random.Generator(np.random.PCG64(given_state(row)))
+
+
 @dataclass(frozen=True)
 class SeededRng:
     """Reproducible random source: numpy's PCG64 bit generator.
 
     Identical seeds reproduce identical streams bit-for-bit. Child streams
     are derived from ``(seed, *keys)`` so that per-sample work is
-    independent of evaluation order.
+    independent of evaluation order. The seed and every key are
+    non-negative integers (InvalidConfig otherwise).
     """
 
     seed: int
+
+    def __post_init__(self):
+        _stream_index(self.seed, "seed")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
     def child(self, *keys: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(int(k) for k in keys))
+        """PCG64 seeded by SeedSequence(entropy=seed, spawn_key=keys)."""
+        keys = tuple(_stream_index(k, "stream key") for k in keys)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=keys)
         return np.random.Generator(np.random.PCG64(ss))
+
+    def children(self, *prefix: int, count: int) -> Iterator[np.random.Generator]:
+        """The streams child(*prefix, i) for i in 0..count-1, with the same
+        draws bit for bit. Their seed states are derived a block of indices
+        at a time in one numpy pass; each stream is valid until the next one
+        is requested."""
+        head = _words(self.seed)
+        head += [0] * (_POOL - len(head))
+        for k in prefix:
+            head += _words(_stream_index(k, "stream key"))
+        count = _stream_index(count, "child count")
+        if count > 1 << 32:  # the index i is one 32-bit word
+            raise InvalidConfig(f"child count must be <= 2^32, got {count}")
+        return _spawn(head, count)
 
 
 @dataclass(frozen=True)

@@ -297,8 +297,8 @@ def _pair_rotations(c: ParameterizedCircuit, n_samples: int, rng: SeededRng) -> 
     stream (i,) of `rng` and runs them as columns 2i and 2i + 1."""
     params = np.zeros((n_samples, 2, c.n_params))
     if c.n_params:
-        for i in range(n_samples):
-            params[i] = rng.child(i).uniform(0.0, 2.0 * math.pi, size=(2, c.n_params))
+        for i, gen in enumerate(rng.children(count=n_samples)):
+            params[i] = gen.uniform(0.0, 2.0 * math.pi, size=(2, c.n_params))
     angles = c.rotation_angles(params.reshape(2 * n_samples, c.n_params).T)
     return np.repeat(c.axes[:, None], 2 * n_samples, axis=1), angles
 
@@ -473,8 +473,7 @@ def gradient_variance_study(
         cost = global_cost_pauli(n) if cost_kind == "global" else local_cost_pauli(n)
         axes = np.empty((n_samples, n * depth), dtype=np.int8)
         angles = np.empty((n_samples, n * depth))
-        for i in range(n_samples):
-            gen = rng.child(n, i)
+        for i, gen in enumerate(rng.children(n, count=n_samples)):
             axes[i] = layered_axes(n, depth, gen)
             angles[i] = gen.uniform(0.0, 2.0 * math.pi, size=n * depth)
         grads = _shift_gradients(n, layered_layout(n, depth), axes.T, angles.T, (0,), cost)

@@ -21,6 +21,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .classical import (
     covariance_spectrum,
@@ -278,7 +280,13 @@ def profile_classical(ds: Dataset, cfg: ConfigProfile, use_standardized: bool = 
         return value
 
     entropy_bound = max(math.log2(n), 1e-12) if n > 1 else 1.0
-    attempt("distributional_entropy", lambda: distributional_entropy(work, cfg.bins_entropy), (0.0, entropy_bound))
+    # Bin ids are invariant under each column's z-score map, so they are read
+    # from the input, constant columns as 0: on z-scores, the rounding of a
+    # column mean (which depends on row order) can move a value that lies on
+    # a bin edge into the bin below.
+    constant = np.isin(np.arange(d), work.constant_columns)
+    binned = Dataset(np.where(constant, 0.0, ds.matrix), ds.column_names)
+    attempt("distributional_entropy", lambda: distributional_entropy(binned, cfg.bins_entropy), (0.0, entropy_bound))
     if work.is_standardized:
         attempt("interaction_order", lambda: interaction_order(work, cfg.epsilon_cumulant), (1.0, 4.0))
     else:

@@ -75,10 +75,16 @@ class DistanceMatrix:
 
 def squared_distances(x: np.ndarray) -> np.ndarray:
     """(N, N) squared Euclidean distances |a|^2 + |b|^2 - 2 a.b of the rows
-    of x, clipped at 0 against rounding; the diagonal is left as computed."""
+    of x, clipped at 0 against rounding; two equal rows are exactly 0
+    apart, since the rounding of a.b depends on where the pair sits in the
+    product. The diagonal is left as computed."""
     sq = np.sum(x**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.clip(d2, 0.0, None, out=d2)
+    label = np.unique(x, axis=0, return_inverse=True)[1].reshape(-1)
+    equal = label[:, None] == label[None, :]
+    np.fill_diagonal(equal, False)
+    d2[equal] = 0.0
     return d2
 
 

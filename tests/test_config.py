@@ -1,10 +1,13 @@
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datacomplexity import config
 from datacomplexity.config import (
     MAX_EXPRESSIBILITY_SAMPLES,
     MAX_FIDELITY_BINS,
@@ -112,3 +115,68 @@ def test_child_streams_independent_of_order():
     SeededRng(5).child(9, 1).uniform(size=100)  # interleave another stream
     second = SeededRng(5).child(2, 7).uniform(size=4)
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("keys", [(-1,), (2.7,), (True,), (3, -2), ("1",)])
+def test_bad_stream_keys_rejected(keys):
+    """A stream key is a non-negative integer: no float or bool is read as
+    one, and a negative key is a config error, not numpy's ValueError."""
+    with pytest.raises(InvalidConfig):
+        SeededRng(0).child(*keys)
+    with pytest.raises(InvalidConfig):
+        SeededRng(0).children(*keys, count=2)
+
+
+@pytest.mark.parametrize("count", [-1, 2.0, True, 2**32 + 1])
+def test_bad_child_count_rejected(count):
+    with pytest.raises(InvalidConfig):
+        SeededRng(0).children(count=count)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_bad_seed_rejected(seed):
+    with pytest.raises(InvalidConfig):
+        SeededRng(seed)
+
+
+def assert_same_draws(gen, ref):
+    assert np.array_equal(gen.uniform(size=(2, 5)), ref.uniform(size=(2, 5)))
+    assert np.array_equal(gen.integers(0, 3, size=7), ref.integers(0, 3, size=7))
+    assert np.array_equal(gen.standard_normal(3), ref.standard_normal(3))
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**70),
+    prefix=st.lists(st.integers(0, 2**40), max_size=2),
+    count=st.integers(0, 300),
+)
+def test_children_draw_as_child(seed, prefix, count):
+    """children(*prefix, count) yields the streams child(*prefix, i), bit for
+    bit, for seeds and keys of one or more 32-bit words."""
+    rng = SeededRng(seed)
+    n = 0
+    for i, gen in enumerate(rng.children(*prefix, count=count)):
+        assert_same_draws(gen, rng.child(*prefix, i))
+        n += 1
+    assert n == count
+
+
+def test_children_across_derivation_blocks():
+    """Seed states are derived a block at a time; the streams on both sides
+    of a block boundary are still child(i)'s."""
+    rng = SeededRng(7)
+    block = config._CHILD_BLOCK
+    gens = rng.children(3, count=block + 2)
+    for i, gen in enumerate(gens):
+        if i >= block - 1:
+            assert_same_draws(gen, rng.child(3, i))
+    assert i == block + 1
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    """numpy loads numpy.random on first use, about 20 ms; a CLI run that
+    draws nothing (profile of a CSV) should not pay for it at import."""
+    code = "import sys, datacomplexity.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

@@ -1,9 +1,11 @@
 """Source rules for the package.
 
 Runtime invariants raise toolkit errors: an assert statement is stripped
-under `python -O`, so none may appear in src/. And the package imports only
+under `python -O`, so none may appear in src/. The package imports only
 the standard library and its runtime dependencies, so that an installed
-toolkit (and its import time) needs nothing that only the tests use.
+toolkit (and its import time) needs nothing that only the tests use. And
+only config.py constructs a random source, so every stream is derived from
+the run's seed in one place.
 """
 
 import ast
@@ -41,3 +43,39 @@ def test_module_imports_only_runtime_dependencies(path):
     allowed = set(sys.stdlib_module_names) | RUNTIME_IMPORTS
     foreign = [(line, name) for line, name in imported if name.partition(".")[0] not in allowed]
     assert foreign == [], f"{path.name} imports packages outside the runtime dependencies: {foreign}"
+
+
+# Calls that construct a numpy random source; any other call into
+# numpy.random (np.random.seed, np.random.uniform, ...) uses its global one.
+RANDOM_CONSTRUCTORS = {"SeedSequence", "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64", "RandomState", "default_rng", "Generator"}
+
+
+def _dotted(node):
+    """`np.random.default_rng` for the expression np.random.default_rng."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "config.py"], ids=lambda p: str(p.relative_to(SRC))
+)
+def test_only_config_constructs_random_sources(path):
+    """No call of a random source's constructor or of numpy.random, and no
+    import of the random module; annotations such as np.random.Generator
+    are not calls and stay allowed."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            if name.rpartition(".")[2] in RANDOM_CONSTRUCTORS or name.startswith(("np.random.", "numpy.random.")):
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name == "random"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "random":
+            found.append((node.lineno, "random"))
+    assert found == [], f"{path.name} constructs random sources outside config.py: {found}"

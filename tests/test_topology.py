@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rips_oracle
+from datacomplexity.dataset import Dataset, standardize
 from datacomplexity.errors import InvalidConfig, TooManyPoints
 from datacomplexity.qmetrics import fidelity_distances
 from datacomplexity.topology import (
@@ -19,6 +20,23 @@ from datacomplexity.topology import (
     total_persistence,
 )
 from rips_oracle import oracle_betti
+
+# ---------------------------------------------------------------------------
+# point-cloud distances
+
+
+def test_equal_rows_exactly_zero_apart():
+    """Equal rows are 0 apart wherever they sit in the cloud; from the
+    product x @ x.T alone, the three equal z-scored rows below were 1.5e-8
+    apart in one row order and 0 in another."""
+    v = 201.60621229651883
+    rows = np.array([[0, 0, 0], [0, 0, 3.6], [0, 0, v], [0.2, 0.2, v], [0, 0, 0], [0, 0, 0]])
+    for order in ([0, 1, 2, 3, 4, 5], [0, 1, 2, 4, 3, 5]):
+        z = standardize(Dataset(rows[order], ("a", "b", "c"))).matrix
+        d = distance_matrix_from_points(z).values
+        equal = [i for i, r in enumerate(order) if r in (0, 4, 5)]
+        assert d[np.ix_(equal, equal)].tolist() == [[0.0] * 3] * 3
+
 
 # ---------------------------------------------------------------------------
 # fixed small complexes
