@@ -17,8 +17,6 @@ import os
 import sys
 from functools import lru_cache
 
-import jsonschema
-
 from .config import ConfigProfile, load_config, validate_config
 from .dataset import load_dataset
 from .errors import (
@@ -167,6 +165,8 @@ def _cmd_barren(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    import jsonschema  # here, not at module level: no other verb needs its slow import
+
     try:
         with open(args.report_path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -195,8 +195,7 @@ def main(argv=None) -> int:
             return _cmd_qprofile(args)
         if args.command == "barren":
             return _cmd_barren(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        return _cmd_report(args)
     except FileNotFoundError as exc:
         print(f"no such file: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -212,8 +211,6 @@ def main(argv=None) -> int:
     except DataComplexityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -15,11 +15,12 @@ import math
 import numbers
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfig
+from .topology import DEFAULT_POINT_CAP
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -201,7 +202,7 @@ class ConfigProfile:
     # topology settings
     rips_max_scale: float | None = None  # None -> dataset diameter
     max_homology_dim: int = 1
-    rips_point_cap: int = 512
+    rips_point_cap: int = DEFAULT_POINT_CAP
     euler_scale_fraction: float = 0.5
 
     # discretization
@@ -290,8 +291,8 @@ GROUP_SIZES = {
 }
 
 
-def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> ConfigProfile:
-    """Validate a config; optionally rescale each weight group to sum to 1.
+def validate_config(cfg: ConfigProfile) -> ConfigProfile:
+    """Validate a config and return it unchanged.
 
     Raises :class:`InvalidConfig` on a value whose type does not fit its
     field's annotation, non-finite or negative weights, an all-zero weight
@@ -302,7 +303,6 @@ def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> Conf
         value = getattr(cfg, f.name)
         if not _has_type(f.type, value):
             raise InvalidConfig(f"{f.name} must be of type {f.type}, got {value!r}")
-    updates: dict[str, tuple[float, ...]] = {}
     for group in WEIGHT_GROUPS:
         weights = getattr(cfg, group)
         expected = GROUP_SIZES.get(group)
@@ -312,11 +312,8 @@ def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> Conf
             raise InvalidConfig(f"non-finite weight in {group}: {weights}")
         if any(w < 0 for w in weights):
             raise InvalidConfig(f"negative weight in {group}: {weights}")
-        total = sum(weights)
-        if total == 0:
+        if sum(weights) == 0:
             raise InvalidConfig(f"all-zero weight group {group}")
-        if normalize_weights:
-            updates[group] = tuple(w / total for w in weights)
 
     for name in FLOAT_FIELDS:
         value = getattr(cfg, name)
@@ -344,9 +341,6 @@ def validate_config(cfg: ConfigProfile, normalize_weights: bool = False) -> Conf
         raise InvalidConfig(f"expressibility_samples must lie in 100..{MAX_EXPRESSIBILITY_SAMPLES}")
     if cfg.seed < 0:
         raise InvalidConfig("seed must be >= 0")
-
-    if updates:
-        return dataclasses.replace(cfg, **updates)
     return cfg
 
 

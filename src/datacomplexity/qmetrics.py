@@ -247,24 +247,21 @@ def connected_correlator(state: StateVector, observables, _cache: dict | None = 
     return cumulant_from_moments(tuple(range(k)), moment)
 
 
-def quantum_interaction_order(state: StateVector, epsilon: float, axes=("X", "Z")) -> int:
+def quantum_interaction_order(state: StateVector, epsilon: float) -> int:
     """Largest order k in 2..4 with a connected correlator above epsilon.
 
     Orders are scanned from min(4, n) down to 2, as in
     classical.interaction_order, each over all distinct-qubit index sets and
-    all Pauli assignments from `axes` in a fixed lexicographic order, and the
-    scan stops at the first significant correlator; returns 1 when nothing is
+    all X/Z Pauli assignments in a fixed lexicographic order, and the scan
+    stops at the first significant correlator; returns 1 when nothing is
     significant.
     """
     require_threshold(epsilon)
-    axes = tuple(a.upper() for a in axes)
-    if any(a not in "XYZ" for a in axes):
-        raise InvalidConfig(f"axes must be Pauli letters, got {axes}")
     n = state.n_qubits
     cache: dict = {}
     for k in range(min(CORRELATOR_ORDER_CAP, n), 1, -1):
         observables = (
-            list(zip(qubits, paulis)) for qubits in combinations(range(n), k) for paulis in product(axes, repeat=k)
+            list(zip(qubits, paulis)) for qubits in combinations(range(n), k) for paulis in product("XZ", repeat=k)
         )
         if any(abs(connected_correlator(state, obs, _cache=cache)) > epsilon for obs in observables):
             return k
@@ -535,15 +532,6 @@ def circuit_error_rate(epsilon_gate: float, depth: int, gates_per_layer: float) 
     if exponent < 0:
         raise InvalidConfig("depth * gates_per_layer must be >= 0")
     return 1.0 - (1.0 - epsilon_gate) ** exponent
-
-
-def magic_monotone(rho: DensityMatrix) -> None:
-    """Nonclassicality/magic monotone: unsupported, returns None.
-
-    No computable formula is pinned for this quantity; composite scores treat
-    it as zero unless the caller supplies a value, and reports flag the gap.
-    """
-    return None
 
 
 def ensemble_gram(e: QuantumEnsemble) -> np.ndarray:

@@ -132,14 +132,12 @@ class ComplexityReport:
     gradient_study: GradientStudy | None = None
     resource_estimate: dict | None = None
     flags: list[str] = field(default_factory=list)
-    normalization_mode: str = "pinned_bounds"
     timings_ms: dict = field(default_factory=dict)
-    tool_version: str = __version__
 
     def to_json_obj(self, include_timings: bool = False) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "config_hash": self.config_hash,
             "seed": self.seed,
             "dataset": self.dataset,
@@ -149,44 +147,12 @@ class ComplexityReport:
             "gradient_study": self.gradient_study.to_json_obj() if self.gradient_study else None,
             "resource_estimate": self.resource_estimate,
             "flags": sorted(self.flags),
-            "normalization_mode": self.normalization_mode,
+            "normalization_mode": "pinned_bounds",
             "timings_ms": dict(sorted(self.timings_ms.items())) if include_timings else None,
         }
 
     def to_json(self, include_timings: bool = False) -> str:
         return json.dumps(self.to_json_obj(include_timings), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ComplexityReport":
-        study = obj.get("gradient_study")
-        return cls(
-            config_hash=obj["config_hash"],
-            seed=obj["seed"],
-            dataset=obj["dataset"],
-            metrics=MetricVector.from_json_obj(obj["metrics"]),
-            composites=[CompositeScore.from_json_obj(c) for c in obj["composites"]],
-            topology=obj.get("topology"),
-            gradient_study=GradientStudy(
-                n_range=tuple(study["n_range"]),
-                depth=study["depth"],
-                n_samples=study["n_samples"],
-                cost_kind=study["cost_kind"],
-                variances=tuple(study["variances"]),
-                fitted_slope=study["fitted_slope"],
-                seed=study["seed"],
-            )
-            if study
-            else None,
-            resource_estimate=obj.get("resource_estimate"),
-            flags=list(obj["flags"]),
-            normalization_mode=obj["normalization_mode"],
-            timings_ms=dict(obj["timings_ms"]) if obj.get("timings_ms") else {},
-            tool_version=obj["tool_version"],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ComplexityReport":
-        return cls.from_json_obj(json.loads(text))
 
 
 def config_hash_hex(cfg: ConfigProfile) -> str:

@@ -124,17 +124,6 @@ class MetricVector:
             for name, e in sorted(self.entries.items())
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MetricVector":
-        mv = cls()
-        for name, entry in obj.items():
-            mv.entries[name] = MetricEntry(
-                raw=entry["raw"],
-                normalized=entry["normalized"],
-                bounds=tuple(entry["bounds"]),
-            )
-        return mv
-
 
 @dataclass(frozen=True)
 class CompositeScore:
@@ -156,16 +145,6 @@ class CompositeScore:
             "components": self.components,
             "flags": list(self.flags),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CompositeScore":
-        return cls(
-            kind=obj["kind"],
-            value=obj["value"],
-            weights=tuple(obj["weights"]),
-            components=obj["components"],
-            flags=tuple(obj["flags"]),
-        )
 
 
 def _weighted_composite(kind: str, mv: MetricVector, names, weights, flags=()) -> CompositeScore:

@@ -46,7 +46,6 @@ batched Schmidt spectra in qmetrics.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -249,33 +248,6 @@ class ParameterizedCircuit:
         if not rows.size:
             raise ArityError(f"parameter index {k} out of range (n_params={self.n_params})")
         return rows
-
-    def to_json_obj(self) -> dict:
-        recs = []
-        for g in self.gates:
-            rec: dict = {"gate": g.name, "qubits": list(g.qubits)}
-            if g.param_slot is not None:
-                rec["param"] = g.param_slot
-            if g.angle is not None:
-                rec["angle"] = g.angle
-            recs.append(rec)
-        return {"n_qubits": self.n_qubits, "n_params": self.n_params, "gates": recs}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ParameterizedCircuit":
-        gates = tuple(
-            Gate(
-                name=rec["gate"],
-                qubits=tuple(rec["qubits"]),
-                param_slot=rec.get("param"),
-                angle=rec.get("angle"),
-            )
-            for rec in obj["gates"]
-        )
-        return cls(n_qubits=obj["n_qubits"], gates=gates, n_params=obj["n_params"])
 
 
 # R(theta) = cos(theta/2) I + sin(theta/2) G for the axis's G = -i P:

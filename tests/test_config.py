@@ -26,12 +26,6 @@ def test_default_config_passes_unchanged():
     assert validate_config(cfg) == cfg
 
 
-def test_uniform_normalization():
-    cfg = dataclasses.replace(ConfigProfile(), lambda_weights=(1.0, 1.0, 1.0, 1.0))
-    out = validate_config(cfg, normalize_weights=True)
-    assert out.lambda_weights == (0.25, 0.25, 0.25, 0.25)
-
-
 def test_negative_weight_rejected():
     cfg = dataclasses.replace(ConfigProfile(), lambda_weights=(-1.0, 0.0, 0.0, 0.0))
     with pytest.raises(InvalidConfig):
@@ -55,13 +49,6 @@ def test_bad_homology_dim_rejected():
     cfg = dataclasses.replace(ConfigProfile(), max_homology_dim=3)
     with pytest.raises(InvalidConfig):
         validate_config(cfg)
-
-
-@given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=4, max_size=4))
-def test_normalized_groups_sum_to_one(weights):
-    cfg = dataclasses.replace(ConfigProfile(), lambda_weights=tuple(weights))
-    out = validate_config(cfg, normalize_weights=True)
-    assert sum(out.lambda_weights) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -180,3 +167,16 @@ def test_cli_import_leaves_numpy_random_unloaded():
     code = "import sys, datacomplexity.cli; print('numpy.random' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_jsonschema_loaded_only_by_the_report_verb():
+    """jsonschema takes tens of milliseconds to import and only `report`
+    validates against the schema, so a profile run never loads it."""
+    code = (
+        "import contextlib, io, sys, datacomplexity.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['profile', 'synth:parity'])\n"
+        "print(rc, 'jsonschema' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "0 False\n"

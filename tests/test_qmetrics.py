@@ -32,7 +32,6 @@ from datacomplexity.qmetrics import (
     gradient_variance_study,
     haar_bin_masses,
     haar_fidelity_pdf,
-    magic_monotone,
     pure_state_qfi,
     quantum_interaction_order,
     quantum_mutual_information,
@@ -261,7 +260,7 @@ def test_correlator_order_cap(ghz3_state):
 
 
 def test_quantum_interaction_order_examples(bell_state, ghz3_state, product_plus_state):
-    assert quantum_interaction_order(ghz3_state, 0.1, axes=("X", "Z")) == 3
+    assert quantum_interaction_order(ghz3_state, 0.1) == 3
     assert quantum_interaction_order(product_plus_state, 0.1) == 1
     assert quantum_interaction_order(bell_state, 0.1) == 2
 
@@ -663,11 +662,6 @@ def test_circuit_error_rate_examples():
 def test_circuit_error_rate_validation():
     with pytest.raises(InvalidConfig):
         circuit_error_rate(1.5, 1, 1)
-
-
-def test_magic_stub_unsupported():
-    rho = DensityMatrix(n_qubits=1, values=np.eye(2) / 2)
-    assert magic_monotone(rho) is None
 
 
 def test_ensemble_validation(bell_state):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -576,12 +575,6 @@ def test_gate_qubits_become_an_int_tuple():
     for bad in (0, [0.5], "0"):
         with pytest.raises(ArityError):
             Gate("H", bad)
-
-
-def test_circuit_json_round_trip():
-    c = random_layered_circuit(3, 2, SeededRng(5).generator())
-    back = ParameterizedCircuit.from_json_obj(json.loads(c.to_json()))
-    assert back == c
 
 
 def test_state_norm_validation():
