@@ -66,10 +66,6 @@ class Spectrum:
             return ev[:0]
         return ev[ev > EIGENVALUE_ZERO_REL * ev[0]]
 
-    def rank(self) -> int:
-        """Count of eigenvalues above the relative zero threshold."""
-        return int(self.nonzero().size)
-
 
 @dataclass(frozen=True)
 class CumulantValue:

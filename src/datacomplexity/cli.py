@@ -107,7 +107,7 @@ def _load_inputs(args) -> tuple[ConfigProfile, "Dataset"]:
     else:
         if not os.path.exists(args.input):
             raise FileNotFoundError(args.input)
-        ds = load_dataset(args.input, has_header=getattr(args, "header", False))
+        ds = load_dataset(args.input, has_header=args.header)
     return cfg, ds
 
 
@@ -146,21 +146,16 @@ def _cmd_qprofile(args) -> int:
 
 
 def _cmd_barren(args) -> int:
-    cfg = _load_config(args)
-    study, report = barren_study_report(
-        args.n_min, args.n_max, args.depth, args.samples, args.cost, cfg
+    report = barren_study_report(
+        args.n_min, args.n_max, args.depth, args.samples, args.cost, _load_config(args)
     )
+    csv = report.gradient_study.to_csv()
     if args.output:
-        base = args.output
-        for suffix in (".json", ".csv"):
-            if base.endswith(suffix):
-                base = base[: -len(suffix)]
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        with open(base + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(study.to_csv())
+        base = args.output.removesuffix(".json").removesuffix(".csv")
+        _emit(report.to_json(), base + ".json")
+        _emit(csv, base + ".csv")
     else:
-        sys.stdout.write(study.to_csv() if args.format == "csv" else report.to_json())
+        _emit(csv if args.format == "csv" else report.to_json(), None)
     return EXIT_OK
 
 

@@ -3,11 +3,12 @@
 Each pipeline computes its metrics once into the report's MetricVector and
 reads the composites from it: profile_classical for the classical suite,
 profile_quantum for one embedding of the dataset and the quantum suite,
-barren_study_report for the gradient-variance study. All three build their
-report through one path, _assemble: each composite is built or its missing
-metric becomes an "error:<name>=..." flag, the first composite sets the
-resource estimate, and the ComplexityReport is constructed there alone.
-profile_classical records each metric, or flags its failure, in one step.
+barren_study_report for the gradient-variance study (the returned report's
+gradient_study). All three return only the report and build it through one
+path, _assemble: each composite is built or its missing metric becomes an
+"error:<name>=..." flag, the first composite sets the resource estimate,
+and the ComplexityReport is constructed there alone. profile_classical
+records each metric, or flags its failure, in one step.
 
 Reports are deterministic under (inputs, config, seed): keys are sorted,
 floats serialize via repr, and wall-clock timings are kept out of the JSON
@@ -330,14 +331,16 @@ def barren_study_report(
     n_samples: int,
     cost_kind: str,
     cfg: ConfigProfile,
-) -> tuple[GradientStudy, ComplexityReport]:
+) -> ComplexityReport:
+    """Run the study over n_min..n_max qubits and return its report, whose
+    gradient_study is the study."""
     study = gradient_variance_study(
         range(n_min, n_max + 1), depth, n_samples, cost_kind, SeededRng(cfg.seed)
     )
     mv = MetricVector()
     mv.add("fitted_slope", study.fitted_slope, (-2.0, 0.0))
     dataset = {"source": f"barren_study:n={n_min}..{n_max},depth={depth}"}
-    return study, _assemble(cfg, dataset, mv, [f"cost_kind={cost_kind}"], gradient_study=study)
+    return _assemble(cfg, dataset, mv, [f"cost_kind={cost_kind}"], gradient_study=study)
 
 
 def render_report(obj: dict) -> str:

@@ -82,7 +82,8 @@ def test_qprofile_computes_each_quantity_once(monkeypatch):
 
 
 def test_barren_report_round_trip_and_schema():
-    study, report = barren_study_report(2, 4, 2, 200, "global", CFG)
+    report = barren_study_report(2, 4, 2, 200, "global", CFG)
+    study = report.gradient_study
     obj = report.to_json_obj()
     jsonschema.validate(obj, REPORT_SCHEMA_V1)
     back = json.loads(report.to_json())

@@ -1,0 +1,63 @@
+"""The experiment scripts run their verbs through cli.main: they write the
+verbs' bytes and exit with the verbs' codes, without a traceback."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from datacomplexity.cli import main
+from datacomplexity.synthetic import GENERATORS
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+STUDY = ["--n-min", "2", "--n-max", "4", "--samples", "200"]
+
+
+def run_script(name, argv, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    code = module.main()
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_barren_study_writes_the_verbs_report_and_csv(tmp_path, monkeypatch, capsys):
+    code, out, err = run_script("run_barren_study", [*STUDY, "--out", str(tmp_path / "b")], monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert "fitted slope of ln Var vs n" in out
+    assert main(["barren", *STUDY, "--seed", "42", "--output", str(tmp_path / "c")]) == 0
+    for suffix in (".json", ".csv"):
+        assert (tmp_path / f"b{suffix}").read_bytes() == (tmp_path / f"c{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--samples", "100"], 4, "invalid configuration: n_samples must be >= 200"),
+        (["--n-min", "2", "--n-max", "3", "--samples", "200"], 1, "error: need at least 3 study points"),
+    ],
+    ids=["verb_validation", "fit_error"],
+)
+def test_barren_study_failures_exit_with_code_and_message(argv, code, message, monkeypatch, capsys):
+    got, _, err = run_script("run_barren_study", argv, monkeypatch, capsys)
+    assert got == code
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_profile_synthetics_writes_the_verbs_reports(tmp_path, monkeypatch, capsys):
+    code, out, _ = run_script("profile_synthetics", ["--seed", "3", "--out-dir", str(tmp_path)], monkeypatch, capsys)
+    assert code == 0
+    assert f"wrote {len(GENERATORS)} reports" in out
+    for name in GENERATORS:
+        main(["profile", f"synth:{name}", "--seed", "3"])
+        assert (tmp_path / f"{name}.json").read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+def test_profile_synthetics_invalid_seed_exits_4(monkeypatch, capsys):
+    code, _, err = run_script("profile_synthetics", ["--seed", "-1"], monkeypatch, capsys)
+    assert code == 4
+    assert "invalid configuration: seed must be >= 0" in err

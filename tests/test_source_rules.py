@@ -1,9 +1,10 @@
-"""Source rules for the package.
+"""Source rules for the package and the experiment scripts.
 
 Runtime invariants raise toolkit errors: an assert statement is stripped
-under `python -O`, so none may appear in src/. The package imports only
-the standard library and its runtime dependencies, so that an installed
-toolkit (and its import time) needs nothing that only the tests use. And
+under `python -O`, so none may appear in src/ or scripts/. The package and
+the scripts import only the standard library, the runtime dependencies and
+the package, so that an installed toolkit (and its import time) needs
+nothing that only the tests use. And
 only config.py constructs a random source, so every stream is derived from
 the run's seed in one place.
 """
@@ -14,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # pyproject.toml's [project] dependencies, plus the package itself
 RUNTIME_IMPORTS = {"numpy", "jsonschema", "datacomplexity"}
 
@@ -24,13 +27,18 @@ def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def _id(path):
+    """datacomplexity/<module>.py for a package module, scripts/<name>.py for a script."""
+    return str(path.relative_to(SRC if SRC in path.parents else ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_id)
 def test_module_has_no_assert(path):
     lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_id)
 def test_module_imports_only_runtime_dependencies(path):
     """Every import is stdlib, a runtime dependency or the package (relative
     imports are the package): scipy, say, stays a test-only dependency."""
