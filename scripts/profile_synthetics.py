@@ -9,7 +9,6 @@ report (exit 1) is kept; any other failure of the verb stops the run with
 the verb's exit code.
 """
 
-import argparse
 import json
 import os
 import tempfile
@@ -20,7 +19,7 @@ from datacomplexity.synthetic import GENERATORS
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default=None)
     args = parser.parse_args(argv)

@@ -15,7 +15,6 @@ Example:
         --samples 500 --seed 42 --out results/barren
 """
 
-import argparse
 import json
 import math
 import os
@@ -29,7 +28,7 @@ from datacomplexity.scoring import fit_alpha, trainability_condition, trainabili
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--c-norm", type=float, default=1.0,
                         help="normalized data complexity used when fitting alpha")

@@ -44,13 +44,21 @@ EXIT_VALIDATION = 4
 EXIT_SCHEMA = 5
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits 4 (argument validation), not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process. A parser is a web of
     reference cycles, so one per main() call is garbage that only the cycle
     collector frees, late; in a process that calls main() repeatedly it grew
     resident memory by about 10 KB per call. Parsing does not change it."""
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="datacomplexity",
         description="Profile the complexity of classical and quantum-embedded datasets.",
     )

@@ -52,7 +52,7 @@ from .qmetrics import (
     schmidt_spectra,
     single_qubit_entropies,
 )
-from .simulator import FeatureMap, encode_rows, encoding_circuit, fit_feature_map
+from .simulator import FeatureMap, encode_rows, encoding_circuit
 from .topology import (
     DistanceMatrix,
     PersistenceDiagram,
@@ -319,9 +319,13 @@ def quantum_complexity(mv: MetricVector, alpha_weights) -> CompositeScore:
 
 
 def embed_dataset(ds: Dataset, fm: FeatureMap) -> QuantumEnsemble:
-    """Encode every row in one batched pass into the uniform ensemble."""
-    fitted = fit_feature_map(fm, ds.matrix) if fm.kind == "angle" else fm
-    return QuantumEnsemble(encode_rows(fitted, ds.matrix))
+    """Encode every row in one batched pass into the uniform ensemble. An
+    angle map reads each column min-max scaled to [0, 1] over these rows."""
+    x = ds.matrix
+    if fm.kind == "angle":
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        x = (x - lo) / np.where(hi > lo, hi - lo, 1.0)
+    return QuantumEnsemble(encode_rows(fm, x))
 
 
 def expressibility_locality(fm: FeatureMap, n_features: int, cfg: ConfigProfile) -> float:

@@ -508,16 +508,14 @@ def run_circuit(c: ParameterizedCircuit, theta) -> StateVector:
 class FeatureMap:
     """Classical-to-quantum encoding: basis, angle, or amplitude.
 
-    Angle encoding applies RY(pi * x~_j) on qubit j after min-max scaling x to
-    [0, 1] using `feature_min`/`feature_max` (set via `fit`, or supply data
-    already in [0, 1]). Basis encoding thresholds each feature at > 0. The
-    amplitude map L2-normalizes and zero-pads the row into the amplitudes.
+    Angle encoding applies RY(pi * x_j) on qubit j to features clipped to
+    [0, 1]; embed_dataset min-max scales a dataset's columns into that range
+    first. Basis encoding thresholds each feature at > 0. The amplitude map
+    L2-normalizes and zero-pads the row into the amplitudes.
     """
 
     kind: str
     n_qubits: int
-    feature_min: tuple[float, ...] | None = None
-    feature_max: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("basis", "angle", "amplitude"):
@@ -531,27 +529,6 @@ def required_qubits(kind: str, n_features: int) -> int:
     if kind == "amplitude":
         return max(1, math.ceil(math.log2(max(2, n_features))))
     return n_features
-
-
-def fit_feature_map(fm: FeatureMap, matrix: np.ndarray) -> FeatureMap:
-    """Record per-column min/max so angle encoding scales consistently."""
-    lo = matrix.min(axis=0)
-    hi = matrix.max(axis=0)
-    return FeatureMap(
-        kind=fm.kind,
-        n_qubits=fm.n_qubits,
-        feature_min=tuple(float(v) for v in lo),
-        feature_max=tuple(float(v) for v in hi),
-    )
-
-
-def _minmax_scale(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
-    if fm.feature_min is None or fm.feature_max is None:
-        return np.clip(x, 0.0, 1.0)
-    lo = np.asarray(fm.feature_min)
-    hi = np.asarray(fm.feature_max)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    return np.clip((x - lo) / span, 0.0, 1.0)
 
 
 def encoding_circuit(fm: FeatureMap, n_features: int) -> ParameterizedCircuit:
@@ -586,7 +563,7 @@ def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
         amps[np.arange(rows), (x > 0.0) @ (1 << np.arange(d))] = 1.0
     else:
         circuit = encoding_circuit(fm, d)
-        angles = circuit.rotation_angles(math.pi * _minmax_scale(fm, x).T)
+        angles = circuit.rotation_angles(math.pi * np.clip(x, 0.0, 1.0).T)
         axes = np.broadcast_to(circuit.axes[:, None], angles.shape)
         factors = run_product_batch(fm.n_qubits, circuit.layout, axes, angles)
         _fill_product(amps.T, factors[:d])  # qubits d..n-1 stay |0>

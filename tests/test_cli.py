@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import gc
+import inspect
 import io
 import json
 import math
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 from datacomplexity.cli import main
 from datacomplexity.config import ConfigProfile
 from datacomplexity.dataset import Dataset, standardize
+from datacomplexity.errors import InvalidConfig
 from datacomplexity.report import REPORT_SCHEMA_V1
 from datacomplexity.simulator import MAX_QUBITS, required_qubits
-from datacomplexity.synthetic import SyntheticSpec, generate, parse_synth_uri
+from datacomplexity.synthetic import GENERATORS, SyntheticSpec, generate, parse_synth_uri
 
 
 def run_cli(argv, capsys):
@@ -61,6 +63,81 @@ def test_negative_synth_seed_exit_4(capsys):
     code, _, err = run_cli(["profile", "synth:gaussian_blob:n=8,d=2,seed=-1"], capsys)
     assert code == 4
     assert err == "invalid configuration: seed must be >= 0, got -1\n"
+
+
+def test_generator_signatures_declare_typed_keyword_parameters():
+    for name, gen in GENERATORS.items():
+        stream, *params = inspect.signature(gen).parameters.values()
+        assert stream.kind is stream.POSITIONAL_OR_KEYWORD, name
+        assert params, name
+        for p in params:
+            assert p.kind is p.KEYWORD_ONLY, (name, p.name)
+            assert p.annotation in ("int", "float"), (name, p.name)
+            assert type(p.default).__name__ == p.annotation, (name, p.name)
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ("synth:gaussian_blob:n=1e3", "parameter n "),
+        ("synth:gaussian_blob:n=-5", "parameter n "),
+        ("synth:gaussian_blob:n=0", "parameter n "),
+        ("synth:gaussian_blob:seed=abc", "parameter seed "),
+        ("synth:gaussian_blob:seed=2.5", "parameter seed "),
+        ("synth:clusters:k=0", "parameter k "),
+        ("synth:circle:n=2.5", "parameter n "),
+        ("synth:circle:radius=inf", "parameter radius "),
+        ("synth:circle:radius=nan", "parameter radius "),
+        ("synth:parity:foo=3", "parity has no parameter 'foo'"),
+        ("synth:circle:n=5:junk", "parameter n "),
+        ("synth:nope", "unknown generator 'nope'"),
+    ],
+)
+def test_bad_synth_spec_exit_4(spec, named, capsys):
+    code, out, err = run_cli(["profile", spec], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("invalid configuration: ")
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", [{"n": 2.0}, {"n": True}, {"radius": float("inf")}, {"noise": "0"}, {"seed": 1}])
+def test_synthetic_spec_from_code_checks_the_signature(params):
+    with pytest.raises(InvalidConfig, match="circle"):
+        SyntheticSpec("circle", params=params)
+
+
+def test_synth_float_parameter_given_as_int_is_the_same_dataset():
+    a = generate(parse_synth_uri("synth:circle:n=50,radius=2,noise=0,seed=4")).matrix
+    b = generate(SyntheticSpec("circle", seed=4, params={"n": 50, "radius": 2.0, "noise": 0.0})).matrix
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "synth:parity", "--seed", "abc"],
+        ["barren", "--n-min", "x"],
+        ["qprofile", "synth:parity", "--map", "foo"],
+        ["profile"],
+        ["nope"],
+    ],
+)
+def test_usage_error_exit_4(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 4
+    assert err.startswith("usage: datacomplexity")
+    assert "error: " in err
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: datacomplexity profile")
 
 
 # ---------------------------------------------------------------------------

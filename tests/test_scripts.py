@@ -61,3 +61,11 @@ def test_profile_synthetics_invalid_seed_exits_4(monkeypatch, capsys):
     code, _, err = run_script("profile_synthetics", ["--seed", "-1"], monkeypatch, capsys)
     assert code == 4
     assert "invalid configuration: seed must be >= 0" in err
+
+
+@pytest.mark.parametrize("name", ["run_barren_study", "profile_synthetics"])
+def test_script_usage_error_exits_4(name, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_script(name, ["--seed", "abc"], monkeypatch, capsys)
+    assert exc.value.code == 4
+    assert "error: argument --seed: invalid int value: 'abc'" in capsys.readouterr().err

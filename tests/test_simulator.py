@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datacomplexity.config import SeededRng
+from datacomplexity.dataset import Dataset
 from datacomplexity.errors import (
     ArityError,
     CapacityError,
@@ -15,6 +16,7 @@ from datacomplexity.errors import (
     ZeroVector,
 )
 from datacomplexity import simulator
+from datacomplexity.scoring import embed_dataset
 from datacomplexity.simulator import (
     FIXED_GATES,
     PAULI_MATRICES,
@@ -27,7 +29,6 @@ from datacomplexity.simulator import (
     encode_rows,
     encoding_circuit,
     expectation,
-    fit_feature_map,
     layered_axes,
     layered_layout,
     partial_trace,
@@ -483,9 +484,11 @@ def test_angle_encoding_endpoints():
 
 
 def test_angle_encoding_minmax_fit():
-    fm = fit_feature_map(FeatureMap(kind="angle", n_qubits=1), np.array([[10.0], [20.0]]))
-    assert encode(fm, [10.0]).amplitudes == pytest.approx([1, 0])
-    assert abs(encode(fm, [20.0]).amplitudes[1]) == pytest.approx(1.0, abs=1e-10)
+    ds = Dataset(np.array([[10.0], [20.0], [15.0]]), ("x",))
+    amps = embed_dataset(ds, FeatureMap(kind="angle", n_qubits=1)).amplitudes
+    assert amps[0] == pytest.approx([1, 0])
+    assert abs(amps[1, 1]) == pytest.approx(1.0, abs=1e-10)
+    assert amps[2] == pytest.approx([math.cos(math.pi / 4), math.sin(math.pi / 4)])
 
 
 def test_basis_encoding_one_hot():
@@ -497,7 +500,7 @@ def test_basis_encoding_one_hot():
 
 
 def test_encoding_circuit_matches_encode():
-    fm = fit_feature_map(FeatureMap(kind="angle", n_qubits=2), np.array([[0.0, 0.0], [1.0, 1.0]]))
+    fm = FeatureMap(kind="angle", n_qubits=2)
     circuit = encoding_circuit(fm, 2)
     x = np.array([0.3, 0.8])
     direct = encode(fm, x).amplitudes
