@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from functools import lru_cache
 
@@ -113,8 +112,6 @@ def _load_inputs(args) -> tuple[ConfigProfile, "Dataset"]:
         spec = parse_synth_uri(args.input, default_seed=cfg.seed)
         ds = generate(spec)
     else:
-        if not os.path.exists(args.input):
-            raise FileNotFoundError(args.input)
         ds = load_dataset(args.input, has_header=args.header)
     return cfg, ds
 
@@ -173,10 +170,7 @@ def _cmd_report(args) -> int:
     try:
         with open(args.report_path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except FileNotFoundError:
-        print(f"no such report: {args.report_path}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"report is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:
@@ -199,8 +193,10 @@ def main(argv=None) -> int:
         if args.command == "barren":
             return _cmd_barren(args)
         return _cmd_report(args)
-    except FileNotFoundError as exc:
-        print(f"no such file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:  # not a path: a closed stdout pipe, say
+            raise
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except (ParseError, EmptyDataset, ZeroVector) as exc:
         print(f"input error: {exc}", file=sys.stderr)

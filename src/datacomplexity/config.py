@@ -347,7 +347,10 @@ def validate_config(cfg: ConfigProfile) -> ConfigProfile:
 def load_config(path: str) -> ConfigProfile:
     """Read a JSON config file; missing fields take their defaults."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise InvalidConfig(f"config file is not UTF-8 JSON text: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidConfig("config file must contain a JSON object")
     return validate_config(ConfigProfile.from_dict(data))

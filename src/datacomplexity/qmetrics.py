@@ -289,24 +289,24 @@ def haar_bin_masses(n_qubits: int, bins: int) -> np.ndarray:
 
 
 def _pair_rotations(c: ParameterizedCircuit, n_samples: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation axes and angles, (R, 2 * n_samples), of the sampled state
-    pairs: sample i draws (theta, phi) uniform in [0, 2*pi)^p from the child
+    """Rotation axes (R, 1), broadcast over the columns, and angles (R, 2 *
+    n_samples) of the sampled state pairs: sample i draws (theta, phi) uniform in [0, 2*pi)^p from the child
     stream (i,) of `rng` and runs them as columns 2i and 2i + 1."""
     params = np.zeros((n_samples, 2, c.n_params))
     if c.n_params:
         for i, gen in enumerate(rng.children(count=n_samples)):
             params[i] = gen.uniform(0.0, 2.0 * math.pi, size=(2, c.n_params))
     angles = c.rotation_angles(params.reshape(2 * n_samples, c.n_params).T)
-    return np.repeat(c.axes[:, None], 2 * n_samples, axis=1), angles
+    return c.axes[:, None], angles
 
 
 def _statevector_pair_fidelities(n: int, layout, axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """|<psi_2i|psi_2i+1>|^2 of every column pair, from full statevectors."""
-    out = np.empty(axes.shape[1] // 2)
-    for cols, block in run_batch(n, layout, axes, angles, group=2):
-        overlaps = np.einsum("ij,ij->j", block[:, 0::2].conj(), block[:, 1::2])
-        out[cols.start // 2 : cols.stop // 2] = np.abs(overlaps) ** 2
-    return out
+
+    def read(block):
+        return np.abs(np.einsum("ij,ij->j", block[:, 0::2].conj(), block[:, 1::2])) ** 2
+
+    return run_batch(n, layout, axes, angles, read, group=2)
 
 
 def _product_pair_fidelities(n: int, layout, axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -365,9 +365,7 @@ def _shift_gradients(n: int, layout, axes, angles, rows, cost_pauli: str) -> np.
     angles = np.repeat(angles, width, axis=1)
     for j, (r, sign) in enumerate(shifts):
         angles[r, j::width] += sign * math.pi / 2.0
-    values = np.empty(axes.shape[1])
-    for cols, block in run_batch(n, layout, axes, angles, group=width):
-        values[cols] = pauli_expectations(block, cost_pauli)
+    values = run_batch(n, layout, axes, angles, lambda block: pauli_expectations(block, cost_pauli), group=width)
     values = values.reshape(-1, width)
     total = np.zeros(values.shape[0])
     for j, (_, sign) in enumerate(shifts):
@@ -396,13 +394,13 @@ def pure_state_qfi(c: ParameterizedCircuit, theta, k: int) -> float:
     rows = c.slot_rows(k)
     angles = np.repeat(base[:, None], 1 + len(rows), axis=1)
     angles[rows, np.arange(1, 1 + len(rows))] += math.pi
-    axes = np.repeat(c.axes[:, None], 1 + len(rows), axis=1)
-    ((_, block),) = run_batch(c.n_qubits, c.layout, axes, angles, group=1 + len(rows))
-    psi = block[:, 0]
-    deriv = 0.5 * block[:, 1:].sum(axis=1)
-    overlap = np.vdot(psi, deriv)
-    qfi = 4.0 * (float(np.vdot(deriv, deriv).real) - abs(overlap) ** 2)
-    return max(qfi, 0.0)
+
+    def read(block):  # the one group: column 0 is psi, the others the shifted states
+        deriv = 0.5 * block[:, 1:].sum(axis=1)
+        return [4.0 * (float(np.vdot(deriv, deriv).real) - abs(np.vdot(block[:, 0], deriv)) ** 2)]
+
+    qfi = run_batch(c.n_qubits, c.layout, c.axes[:, None], angles, read, group=1 + len(rows))[0]
+    return max(float(qfi), 0.0)
 
 
 def collective_z_qfis(amps: np.ndarray) -> np.ndarray:

@@ -25,7 +25,10 @@ consecutive CNOT/CZ gates is folded into one cached index permutation and
 sign mask, so the CNOT ladder of a layered-ansatz layer is one gather;
 Z-string expectations are signs @ |amps|^2 over a cached parity table.
 Columns run in chunks whose block and spare buffer together hold CHUNK_BYTES
-(1 MiB) of amplitudes, so a chunk stays in L2 cache. run_with_angles is a
+(1 MiB) of amplitudes, so a chunk stays in L2 cache. The block never leaves
+the engine: run_batch passes each checked chunk to the caller's reader and
+returns the readers' values joined in column order. One circuit's (R,) axes
+pass as (R, 1) and broadcast over the columns. run_with_angles is a
 one-column call into it.
 
 A layout without CNOT/CZ (is_entangling is False) leaves |0...0> a product
@@ -109,7 +112,7 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
 
 
 def _require_unit_norms(norms: np.ndarray) -> None:
-    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN fails too
     if bad.size:
         raise InvalidState(f"state norm {norms[bad[0]]} deviates from 1 beyond tolerance")
 
@@ -147,9 +150,9 @@ class DensityMatrix:
         dim = 2**self.n_qubits
         if v.shape != (dim, dim):
             raise ArityError(f"expected {dim}x{dim} density matrix, got {v.shape}")
-        if np.max(np.abs(v - v.conj().T)) > 1e-10:
+        if not np.max(np.abs(v - v.conj().T)) <= 1e-10:  # NaN fails too
             raise InvalidState("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(v).real - 1.0) > 1e-10:
+        if not abs(np.trace(v).real - 1.0) <= 1e-10:
             raise InvalidState(f"trace {np.trace(v).real} deviates from 1")
         v = 0.5 * (v + v.conj().T)
         v.setflags(write=False)
@@ -425,38 +428,34 @@ def _fill_product(block: np.ndarray, factors: np.ndarray) -> None:
         low *= f0
 
 
-def run_batch(
-    n_qubits: int,
-    layout,
-    axes: np.ndarray,
-    angles: np.ndarray,
-    group: int = 1,
-):
-    """Run B circuits of one gate layout from |0...0>; yield (columns, block)
-    per chunk.
+def run_batch(n_qubits: int, layout, axes: np.ndarray, angles: np.ndarray, read, group: int = 1) -> np.ndarray:
+    """Run B circuits of one gate layout from |0...0>; return read's values
+    of every chunk, joined in column order.
 
-    `axes` and `angles` are (R, B): rotation r of column b is
-    ROTATION_GATES[axes[r, b]] by angles[r, b]. The leading single-qubit
-    gates of _product_prefix run on per-qubit (2, B) factors and the block is
-    filled from their product, bit-equal to running them on the block.
-    Columns run in chunks: a block and a spare buffer of the same size,
-    CHUNK_BYTES together, serve every chunk, so a yielded block is only valid
-    until the next one is requested. A chunk is a multiple of `group` columns, so a
-    group of related states (a parameter-shift pair, a fidelity pair) lands in
-    one block. Every state of a block passes the StateVector norm check before
-    the block is yielded.
+    `angles` is (R, B) and `axes` broadcasts against it ((R, 1) for one
+    circuit): rotation r of column b is ROTATION_GATES[axes[r, b]] by
+    angles[r, b]. The leading single-qubit gates of _product_prefix run on
+    per-qubit (2, B) factors and the block is filled from their product,
+    bit-equal to running them on the block. Columns run in chunks of a
+    multiple of `group` columns, so a group of related states (a
+    parameter-shift pair, a fidelity pair) lands in one block; a block and a
+    spare buffer of the same size, CHUNK_BYTES together, serve every chunk.
+    Once every state of a chunk's (2^n, b) block passes the StateVector norm
+    check, read(block) returns an array whose first axis runs over the
+    chunk's columns or groups; it is copied out before the buffer is reused.
     """
     n = n_qubits
+    axes, angles = np.broadcast_arrays(axes, angles)
     steps = _program(n, layout)
     prefix, prefix_qubits = _product_prefix(layout)
-    total = axes.shape[1]
+    total = angles.shape[1]
     width = min(total, max(1, CHUNK_BYTES // (32 * 2**n) // group) * group)
     buffers = np.empty((2, 2**n * width), dtype=complex)
+    values = []
     for lo in range(0, total, width):
-        cols = slice(lo, min(lo + width, total))
-        b = cols.stop - lo
+        b = min(width, total - lo)
         block, spare = (buf[: 2**n * b].reshape(2**n, b) for buf in buffers)
-        coeffs = _coefficient_rows(axes[:, cols], angles[:, cols])
+        coeffs = _coefficient_rows(axes[:, lo : lo + b], angles[:, lo : lo + b])
         _fill_product(block, _product_factors(prefix_qubits, layout[:prefix], coeffs, b))
         for kind, a, c in steps[prefix:]:  # a prefix has no CNOT/CZ: one step per gate
             if kind == "perm":
@@ -468,7 +467,8 @@ def run_batch(
             else:
                 _rotate(block, _gate_matrix(a, coeffs), c, n, spare)
         _require_unit_norms(_squared_norms(block))
-        yield cols, block
+        values.append(np.array(read(block)))
+    return np.concatenate(values)
 
 
 def is_entangling(layout) -> bool:
@@ -487,7 +487,8 @@ def run_product_batch(n_qubits: int, layout, axes: np.ndarray, angles: np.ndarra
     """
     if is_entangling(layout):
         raise ArityError("a layout with CNOT/CZ does not make product states")
-    factors = _product_factors(n_qubits, layout, _coefficient_rows(axes, angles), axes.shape[1])
+    axes, angles = np.broadcast_arrays(axes, angles)
+    factors = _product_factors(n_qubits, layout, _coefficient_rows(axes, angles), angles.shape[1])
     _require_unit_norms(np.sum(np.abs(factors) ** 2, axis=1).ravel())
     return factors
 
@@ -495,8 +496,8 @@ def run_product_batch(n_qubits: int, layout, axes: np.ndarray, angles: np.ndarra
 def run_with_angles(c: ParameterizedCircuit, angles: np.ndarray) -> StateVector:
     """The state the gate list makes from |0...0> with rotation r by angles[r],
     (R,): one column through run_batch."""
-    ((_, block),) = run_batch(c.n_qubits, c.layout, c.axes[:, None], angles[:, None])
-    return StateVector(n_qubits=c.n_qubits, amplitudes=block[:, 0])
+    amps = run_batch(c.n_qubits, c.layout, c.axes[:, None], angles[:, None], np.transpose)
+    return StateVector(n_qubits=c.n_qubits, amplitudes=amps[0])
 
 
 def run_circuit(c: ParameterizedCircuit, theta) -> StateVector:
@@ -564,8 +565,7 @@ def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
     else:
         circuit = encoding_circuit(fm, d)
         angles = circuit.rotation_angles(math.pi * np.clip(x, 0.0, 1.0).T)
-        axes = np.broadcast_to(circuit.axes[:, None], angles.shape)
-        factors = run_product_batch(fm.n_qubits, circuit.layout, axes, angles)
+        factors = run_product_batch(fm.n_qubits, circuit.layout, circuit.axes[:, None], angles)
         _fill_product(amps.T, factors[:d])  # qubits d..n-1 stay |0>
     return amps
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import sys
 import tracemalloc
 
 import jsonschema
@@ -239,6 +240,54 @@ def test_profile_undecodable_input_exit_2(name, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"input error: {path}: not UTF-8 text")
+
+
+# argv, exit code and stderr prefix; {tmp} is a directory holding notjson.json
+# (invalid JSON), latin1.json (not UTF-8) and the directory adir
+FILE_ERRORS = {
+    "config_invalid_json": (
+        ["profile", "synth:parity", "--config", "{tmp}/notjson.json"],
+        4,
+        "invalid configuration: config file is not UTF-8 JSON text: ",
+    ),
+    "config_not_utf8": (
+        ["profile", "synth:parity", "--config", "{tmp}/latin1.json"],
+        4,
+        "invalid configuration: config file is not UTF-8 JSON text: ",
+    ),
+    "config_directory": (["profile", "synth:parity", "--config", "{tmp}/adir"], 2, "cannot open {tmp}/adir: "),
+    "config_missing": (["profile", "synth:parity", "--config", "{tmp}/nope.json"], 2, "cannot open {tmp}/nope.json: "),
+    "dataset_directory": (["qprofile", "{tmp}/adir"], 2, "cannot open {tmp}/adir: "),
+    "dataset_missing": (["profile", "{tmp}/nope.csv"], 2, "cannot open {tmp}/nope.csv: "),
+    "report_directory": (["report", "{tmp}/adir"], 2, "cannot open {tmp}/adir: "),
+    "report_not_utf8": (["report", "{tmp}/latin1.json"], 5, "report is not valid JSON: "),
+    "report_missing": (["report", "{tmp}/nope.json"], 2, "cannot open {tmp}/nope.json: "),
+    "output_directory": (["profile", "synth:parity", "--output", "{tmp}/adir"], 2, "cannot open {tmp}/adir: "),
+}
+
+
+@pytest.mark.parametrize("argv, code, prefix", FILE_ERRORS.values(), ids=FILE_ERRORS)
+def test_file_errors_exit_with_their_code(argv, code, prefix, tmp_path, capsys):
+    (tmp_path / "notjson.json").write_text("{not json")
+    (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xe9"}')
+    (tmp_path / "adir").mkdir()
+    got, out, err = run_cli([arg.format(tmp=tmp_path) for arg in argv], capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix.format(tmp=tmp_path))
+    assert "Traceback" not in err
+
+
+def test_os_error_without_a_path_propagates(monkeypatch):
+    """Only an error naming a path exits 2; an OSError without one, such as
+    writing to a closed stdout pipe, is not reported as a file to open."""
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["profile", "synth:parity"])
 
 
 def test_profile_validates_against_schema(capsys):

@@ -673,6 +673,8 @@ def test_ensemble_validation(bell_state):
         QuantumEnsemble(np.ones((2, 3)) / math.sqrt(3))
     with pytest.raises(InvalidState):
         QuantumEnsemble(np.ones((2, 4)))
+    with pytest.raises(InvalidState):
+        QuantumEnsemble(np.array([[float("nan"), 0.0], [1.0, 0.0]]))
     e = uniform_ensemble([bell_state, bell_state])
     assert e.amplitudes.shape == (2, 4) and not e.amplitudes.flags.writeable
 

@@ -21,6 +21,7 @@ from datacomplexity.simulator import (
     FIXED_GATES,
     PAULI_MATRICES,
     ROTATION_GATES,
+    DensityMatrix,
     FeatureMap,
     Gate,
     ParameterizedCircuit,
@@ -207,17 +208,22 @@ def test_engine_batch_matches_dense_oracle(n, monkeypatch):
     paulis = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(3)] + ["Z" * n]
     initial = zero_state(n).amplitudes
     for group in (1, 2):
-        seen = []
-        for cols, block in run_batch(n, circuit.layout, axes, angles, group=group):
-            assert (cols.stop - cols.start) % group == 0
-            values = {p: pauli_expectations(block, p) for p in paulis}
-            for k, j in enumerate(range(cols.start, cols.stop)):
-                dense = circuit_unitary(column_circuit(circuit, axes[:, j], angles[:, j]), []) @ initial
-                assert np.max(np.abs(block[:, k] - dense)) <= 1e-12
-                for p in paulis:
-                    assert abs(values[p][k] - np.vdot(dense, full_pauli(p) @ dense).real) <= 1e-12
-                seen.append(j)
-        assert seen == list(range(8))
+        widths = []
+
+        def read(block):
+            # each column's state followed by its expectations, one row per column
+            widths.append(block.shape[1])
+            return np.concatenate([block, [pauli_expectations(block, p) for p in paulis]]).T
+
+        rows = run_batch(n, circuit.layout, axes, angles, read, group=group)
+        assert len(widths) > 1 and sum(widths) == 8
+        assert all(w % group == 0 for w in widths)
+        for j, row in enumerate(rows):  # in column order
+            dense = circuit_unitary(column_circuit(circuit, axes[:, j], angles[:, j]), []) @ initial
+            assert np.max(np.abs(row[: 2**n] - dense)) <= 1e-12
+            for value, p in zip(row[2**n :], paulis):
+                assert value.imag == 0.0
+                assert abs(value.real - np.vdot(dense, full_pauli(p) @ dense).real) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -331,22 +337,37 @@ def test_product_prefix_is_bit_equal_to_zero_start(n, monkeypatch):
         n_rotations = sum(name == "R" for name, _ in layout)
         axes = rng.integers(0, 3, size=(n_rotations, 7)).astype(np.int8)
         angles = rng.uniform(-2 * math.pi, 2 * math.pi, size=axes.shape)
-        filled = [block.copy() for _, block in run_batch(n, layout, axes, angles)]
+        widths = []
+
+        def read(block):
+            widths.append(block.shape[1])
+            return block.T
+
+        filled = run_batch(n, layout, axes, angles, read)
         with monkeypatch.context() as mp:
             mp.setattr(simulator, "_product_prefix", lambda layout: (0, 0))
-            started = [block.copy() for _, block in run_batch(n, layout, axes, angles)]
-        assert len(filled) == len(started) == 3
-        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(filled, started))
+            started = run_batch(n, layout, axes, angles, read)
+        assert widths == [3, 3, 1] * 2
+        assert filled.shape == started.shape == (7, 2**n)
+        assert filled.tobytes() == started.tobytes()
 
 
 def test_engine_rejects_bad_norm(monkeypatch):
     """A block whose states lose unit norm, through the product fill of the
-    first layer or through a gate after it, raises before it is yielded."""
+    first layer or through a gate after it, raises before it is read."""
     circuit = random_layered_circuit(3, 2, SeededRng(4).generator())
     layout = circuit.layout + (("X", (1,)),)
     assert simulator._product_prefix(layout)[0] == 3  # the X runs on the block
-    axes = np.repeat(circuit.axes[:, None], 4, axis=1)
-    angles = np.zeros(axes.shape)
+    angles = np.zeros((len(circuit.axes), 4))
+    widths = []
+
+    def read(block):
+        widths.append(block.shape[1])
+        return block.T
+
+    def run():
+        return run_batch(3, layout, circuit.axes[:, None], angles, read)
+
     fill = simulator._fill_product
 
     def scaled_fill(block, factors):
@@ -356,12 +377,13 @@ def test_engine_rejects_bad_norm(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(simulator, "_fill_product", scaled_fill)
         with pytest.raises(InvalidState):
-            list(run_batch(3, layout, axes, angles))
+            run()
     with monkeypatch.context() as mp:
         mp.setitem(simulator.FIXED_GATES, "X", 1.5 * FIXED_GATES["X"])
         with pytest.raises(InvalidState):
-            list(run_batch(3, layout, axes, angles))
-    list(run_batch(3, layout, axes, angles))  # unpatched, the same run passes
+            run()
+    assert not widths
+    assert run().shape == (4, 8)  # unpatched, the same run passes
 
 
 def test_norm_preserved_through_deep_circuit():
@@ -583,3 +605,26 @@ def test_gate_qubits_become_an_int_tuple():
 def test_state_norm_validation():
     with pytest.raises(InvalidState):
         StateVector(n_qubits=1, amplitudes=np.array([1.0, 1.0]))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StateVector(n_qubits=1, amplitudes=np.array([NAN, 0.0])),
+        # unit trace, so only the Hermitian check can see the NaN
+        lambda: DensityMatrix(n_qubits=1, values=np.array([[0.5, NAN], [NAN, 0.5]])),
+        lambda: run_circuit(ParameterizedCircuit(1, (Gate("RY", (0,), param_slot=0),), 1), [NAN]),
+        lambda: run_circuit(
+            ParameterizedCircuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("RX", (1,), param_slot=0)), 1), [NAN]
+        ),
+    ],
+    ids=["StateVector", "DensityMatrix", "run_circuit-prefix", "run_circuit-block"],
+)
+def test_nan_state_rejected(make):
+    """A NaN fails every tolerance comparison, so the checks are written to
+    pass only within tolerance and a NaN state raises."""
+    with pytest.raises(InvalidState):
+        make()
