@@ -2,8 +2,9 @@
 
 Verbs: profile (classical metrics + composite), qprofile (quantum embedding
 metrics + composites), barren (gradient-variance study), report (render a
-saved report). Exit codes are pinned: 0 ok, 2 input problem, 3 encoding
-capacity, 4 argument validation, 5 report schema mismatch, 1 partial run.
+saved report). Exit codes are pinned: 0 ok, 2 input problem or closed
+stdout, 3 encoding capacity, 4 argument validation, 5 report schema
+mismatch, 1 partial run.
 
 Outputs are byte-identical across runs for fixed (inputs, config, seed).
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -185,16 +187,21 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = {"profile": _cmd_profile, "qprofile": _cmd_qprofile, "barren": _cmd_barren, "report": _cmd_report}
     try:
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "qprofile":
-            return _cmd_qprofile(args)
-        if args.command == "barren":
-            return _cmd_barren(args)
-        return _cmd_report(args)
+        code = command[args.command](args)
+        sys.stdout.flush()  # here, so that a closed stdout fails inside the try
+        return code
+    except BrokenPipeError as exc:
+        # stdout was closed early (`| head`, say): send the rest to devnull,
+        # so that the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write <stdout>: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
     except OSError as exc:
-        if exc.filename is None:  # not a path: a closed stdout pipe, say
+        if exc.filename is None:  # names no path (a full disk under stdout, say)
             raise
         print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT

@@ -354,9 +354,3 @@ def load_config(path: str) -> ConfigProfile:
     if not isinstance(data, dict):
         raise InvalidConfig("config file must contain a JSON object")
     return validate_config(ConfigProfile.from_dict(data))
-
-
-def save_config(cfg: ConfigProfile, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,4 +1,4 @@
-"""Dataset ingestion, standardization, and canonical serialization.
+"""Dataset ingestion, standardization, and the canonical byte layout.
 
 A :class:`Dataset` is an immutable N x d float64 matrix with column metadata.
 Standardization is z-scoring with the sample (N-1) standard deviation so that
@@ -7,10 +7,10 @@ conventions of the cumulant estimators. Constant columns are zeroed and
 flagged rather than dropped, which keeps column indices aligned.
 
 Files are CSV or JSON by their name alone: a .json extension (any case) is
-JSON, anything else CSV, on load and on save alike.
+JSON, anything else CSV.
 
-The canonical byte layout used by serialization and the compression proxy is
-row-major little-endian IEEE-754 float64 (see docs/serialization.md).
+The canonical byte layout used by the compression proxy is row-major
+little-endian IEEE-754 float64 (see docs/serialization.md).
 """
 
 from __future__ import annotations
@@ -158,23 +158,6 @@ def load_dataset(path: str, has_header: bool = False) -> Dataset:
             raise ParseError(f"{path}: 'columns' must be an array as long as a data row")
         ds = Dataset(ds.matrix, tuple(str(c) for c in columns), source=str(path))
     return ds
-
-
-def save_dataset(ds: Dataset, path: str) -> None:
-    """Write a dataset back out in the format of its extension (_is_json);
-    float64 values round-trip via repr."""
-    if _is_json(path):
-        payload = {
-            "data": [[float(v) for v in row] for row in ds.matrix],
-            "columns": list(ds.column_names),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in ds.matrix:
-                writer.writerow([repr(float(v)) for v in row])
 
 
 def scale_by_max_magnitude(m: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .classical import effective_rank, entropy_bits, gram_spectrum
 from .config import ConfigProfile, SeededRng
-from .dataset import Dataset
+from .dataset import Dataset, scale_by_max_magnitude
 from .errors import (
     DataComplexityError,
     DegenerateCollection,
@@ -320,9 +320,13 @@ def quantum_complexity(mv: MetricVector, alpha_weights) -> CompositeScore:
 
 def embed_dataset(ds: Dataset, fm: FeatureMap) -> QuantumEnsemble:
     """Encode every row in one batched pass into the uniform ensemble. An
-    angle map reads each column min-max scaled to [0, 1] over these rows."""
+    angle map reads each column min-max scaled to [0, 1] over these rows; a
+    column whose span overflows is divided by its largest magnitude first."""
     x = ds.matrix
     if fm.kind == "angle":
+        with np.errstate(over="ignore"):  # a span past the float64 maximum reads inf
+            wide = np.isinf(x.max(axis=0) - x.min(axis=0))
+        x = np.where(wide, scale_by_max_magnitude(x), x)
         lo, hi = x.min(axis=0), x.max(axis=0)
         x = (x - lo) / np.where(hi > lo, hi - lo, 1.0)
     return QuantumEnsemble(encode_rows(fm, x))
@@ -337,7 +341,7 @@ def expressibility_locality(fm: FeatureMap, n_features: int, cfg: ConfigProfile)
     circuit = encoding_circuit(fm, n_features)
     kl = expressibility_kl(circuit, cfg.expressibility_samples, cfg.bins_fidelity, SeededRng(cfg.seed))
     support = float(np.mean([len(g.qubits) for g in circuit.gates]))
-    return math.exp(-kl) / support
+    return expressibility_norm_from_kl(kl) / support
 
 
 def induced_complexity(mv: MetricVector, beta_weights, fm_kind: str) -> CompositeScore:

@@ -92,24 +92,6 @@ FIXED_GATES = {
 ROTATION_GATES = ("RX", "RY", "RZ")
 TWO_QUBIT_GATES = ("CNOT", "CZ")
 
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": FIXED_GATES["X"],
-    "Y": FIXED_GATES["Y"],
-    "Z": FIXED_GATES["Z"],
-}
-
-
-def rotation_matrix(axis: str, theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    if axis == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if axis == "RY":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if axis == "RZ":
-        return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex)
-    raise ParseError(f"unknown rotation axis {axis!r}")
-
 
 def _require_unit_norms(norms: np.ndarray) -> None:
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN fails too
@@ -556,9 +538,14 @@ def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
     amps = np.zeros((rows, 2**fm.n_qubits), dtype=complex)
     if fm.kind == "amplitude":
         for i, row in enumerate(x):
-            norm = float(np.linalg.norm(row))
-            if norm == 0.0:
-                raise ZeroVector(f"row {i}: cannot amplitude-encode an all-zero vector")
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(row))
+            if not 0.0 < norm < math.inf:  # all zero, or a norm that under- or overflows
+                peak = float(np.max(np.abs(row)))
+                if peak == 0.0:
+                    raise ZeroVector(f"row {i}: cannot amplitude-encode an all-zero vector")
+                row = row / peak
+                norm = float(np.linalg.norm(row))
             amps[i, :d] = row / norm
     elif fm.kind == "basis":
         amps[np.arange(rows), (x > 0.0) @ (1 << np.arange(d))] = 1.0

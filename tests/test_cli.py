@@ -1,13 +1,16 @@
 import contextlib
 import dataclasses
+import errno
 import gc
 import inspect
 import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import datacomplexity
 from datacomplexity.cli import main
 from datacomplexity.config import ConfigProfile
 from datacomplexity.dataset import Dataset, standardize
@@ -22,6 +26,9 @@ from datacomplexity.errors import InvalidConfig
 from datacomplexity.report import REPORT_SCHEMA_V1
 from datacomplexity.simulator import MAX_QUBITS, required_qubits
 from datacomplexity.synthetic import GENERATORS, SyntheticSpec, generate, parse_synth_uri
+
+
+SRC = str(Path(datacomplexity.__file__).resolve().parent.parent)
 
 
 def run_cli(argv, capsys):
@@ -278,16 +285,37 @@ def test_file_errors_exit_with_their_code(argv, code, prefix, tmp_path, capsys):
 
 
 def test_os_error_without_a_path_propagates(monkeypatch):
-    """Only an error naming a path exits 2; an OSError without one, such as
-    writing to a closed stdout pipe, is not reported as a file to open."""
+    """Only an error naming a path (or a closed stdout) exits 2; another
+    OSError without a path, such as a full disk under stdout, is not
+    reported as a file to open."""
 
-    class ClosedPipe(io.StringIO):
+    class FullDisk(io.StringIO):
         def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    with pytest.raises(BrokenPipeError):
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    with pytest.raises(OSError, match="No space left"):
         main(["profile", "synth:parity"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["barren", "--n-min", "2", "--n-max", "3", "--samples", "200"], ["profile", "synth:circle:n=120"]],
+    ids=["barren", "profile"],
+)
+def test_closed_stdout_exit_2(argv):
+    """A reader that goes away before the report is written (`| head -c 1`)
+    is an output error: one line on stderr and exit 2, whether the write or
+    the final flush meets the closed pipe."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "datacomplexity.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "cannot write <stdout>: Broken pipe\n"
 
 
 def test_profile_validates_against_schema(capsys):
@@ -398,6 +426,34 @@ def test_qprofile_amplitude_zero_row_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "input error: row 1:" in err
+
+
+# Finite rows whose column span or row norm overflows float64, and rows
+# whose norm underflows to 0 although they are not all zero
+EXTREME_CSV = {"huge": "1e308,-1e308\n-1e308,1e308\n1,2\n", "tiny": "1e-300,2e-300\n3e-300,-1e-300\n0,5e-301\n"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "source, argv",
+    [("huge", ["--map", m]) for m in ("angle", "amplitude", "basis")]
+    + [("tiny", ["--map", "amplitude"])]
+    + [("synth:random_bytes", ["--map", "amplitude", "--seed", str(s)]) for s in range(4)],
+    ids=[f"huge-{m}" for m in ("angle", "amplitude", "basis")]
+    + ["tiny-amplitude"]
+    + [f"random_bytes-amplitude-seed{s}" for s in range(4)],
+)
+def test_qprofile_embeds_extreme_rows(source, argv, tmp_path, capsys):
+    """An angle column whose span hi - lo overflows, or an amplitude row
+    whose norm over- or underflows, is divided by its largest magnitude
+    first, so it embeds."""
+    if source in EXTREME_CSV:
+        path = tmp_path / f"{source}.csv"
+        path.write_text(EXTREME_CSV[source])
+        source = str(path)
+    code, out, err = run_cli(["qprofile", source, *argv], capsys)
+    assert (code, err) == (0, "")
+    assert not [f for f in json.loads(out)["flags"] if f.startswith("error:")]
 
 
 def test_qprofile_angle_capacity_exit_3(capsys):
@@ -576,6 +632,21 @@ def test_report_renders_config_hash(tmp_path, capsys):
     assert code == 0
     hashes = json.loads(open(report_path).read())["config_hash"]
     assert hashes in out
+
+
+def test_report_renders_barren_report(tmp_path, capsys):
+    """`report X.json` renders what `barren --output X` writes (the README's
+    run_barren_study.py --out X too): the study line and one line per n."""
+    report_path = str(tmp_path / "study.json")
+    code, _, _ = run_cli(
+        ["barren", "--n-min", "2", "--n-max", "4", "--samples", "200", "--output", report_path], capsys
+    )
+    assert code == 0
+    code, out, _ = run_cli(["report", report_path], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("gradient study: depth=4 samples=200 cost=global slope=")]
+    assert [line.split()[0] for line in lines if line.startswith("  n=")] == ["n=2", "n=3", "n=4"]
 
 
 def test_report_truncated_json_exit_5(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import subprocess
 import sys
 
@@ -15,7 +16,6 @@ from datacomplexity.config import (
     SeededRng,
     fnv1a64,
     load_config,
-    save_config,
     validate_config,
 )
 from datacomplexity.errors import InvalidConfig
@@ -78,7 +78,7 @@ def test_config_hash_changes_with_seed():
 def test_config_file_round_trip(tmp_path):
     cfg = dataclasses.replace(ConfigProfile(), seed=77, kernel_bandwidth=2.5)
     path = tmp_path / "config.json"
-    save_config(cfg, str(path))
+    path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     loaded = load_config(str(path))
     assert loaded == cfg
     assert loaded.config_hash() == cfg.config_hash()

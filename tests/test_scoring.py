@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import rotation_matrix
 from datacomplexity.config import ConfigProfile, SeededRng
 from datacomplexity.dataset import Dataset
 from datacomplexity.errors import (
@@ -40,7 +41,6 @@ from datacomplexity.simulator import (
     FeatureMap,
     StateVector,
     random_layered_circuit,
-    rotation_matrix,
     run_circuit,
     zero_state,
 )

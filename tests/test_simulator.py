@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import PAULI_MATRICES, rotation_matrix
 from datacomplexity.config import SeededRng
 from datacomplexity.dataset import Dataset
 from datacomplexity.errors import (
@@ -19,7 +20,6 @@ from datacomplexity import simulator
 from datacomplexity.scoring import embed_dataset
 from datacomplexity.simulator import (
     FIXED_GATES,
-    PAULI_MATRICES,
     ROTATION_GATES,
     DensityMatrix,
     FeatureMap,
@@ -37,7 +37,6 @@ from datacomplexity.simulator import (
     pauli_expectations,
     random_layered_circuit,
     required_qubits,
-    rotation_matrix,
     run_batch,
     run_circuit,
     run_product_batch,
