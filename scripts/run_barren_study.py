@@ -18,11 +18,10 @@ Example:
 import json
 import math
 import os
-import sys
 import tempfile
 
 from datacomplexity import cli
-from datacomplexity.errors import DataComplexityError
+from datacomplexity.errors import FitError
 from datacomplexity.qmetrics import GradientStudy
 from datacomplexity.scoring import fit_alpha, trainability_condition, trainability_prediction
 
@@ -52,16 +51,14 @@ def main(argv=None) -> int:
         print(f"{n},{v:.6e}")
     print(f"fitted slope of ln Var vs n: {study.fitted_slope:.4f} (theory -ln2 = {-math.log(2):.4f})")
 
-    try:
-        alpha = fit_alpha(study, study.depth, args.c_norm)
-        print(f"alpha from fit (c_norm={args.c_norm}): {alpha:.4f}")
-        for n in study.n_range:
-            predicted = trainability_prediction(n, study.depth, args.c_norm, alpha)
-            ok = trainability_condition(predicted, args.epsilon_grad)
-            print(f"  n={n}: predicted var {predicted:.3e} -> {'trainable' if ok else 'barren'}")
-    except DataComplexityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return cli.EXIT_PARTIAL
+    alpha = fit_alpha(study, study.depth, args.c_norm)
+    print(f"alpha from fit (c_norm={args.c_norm}): {alpha:.4f}")
+    if alpha < 0:  # the variance grows with n; the prediction takes alpha >= 0 only
+        raise FitError(f"fitted alpha {alpha:.4f} < 0: the variance does not decay with n")
+    for n in study.n_range:
+        predicted = trainability_prediction(n, study.depth, args.c_norm, alpha)
+        ok = trainability_condition(predicted, args.epsilon_grad)
+        print(f"  n={n}: predicted var {predicted:.3e} -> {'trainable' if ok else 'barren'}")
 
     if args.out:
         print(f"wrote {args.out}.csv and {args.out}.json")
@@ -69,4 +66,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli.run(main))

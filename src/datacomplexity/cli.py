@@ -138,7 +138,7 @@ def _report_csv(obj: dict) -> str:
 def _emit_report(report, args) -> int:
     """Write a profile report; a partial report (an error: flag) exits 1."""
     _emit(_report_csv(report.to_json_obj()) if args.format == "csv" else report.to_json(), args.output)
-    partial = any(f.startswith("error:") for f in report.flags)
+    partial = any(f.startswith("error:") for f in report.metrics.flags)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
@@ -184,12 +184,12 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = {"profile": _cmd_profile, "qprofile": _cmd_qprofile, "barren": _cmd_barren, "report": _cmd_report}
+def run(work) -> int:
+    """work()'s exit code, with stdout flushed. A failure prints one line on
+    stderr and returns its documented exit code: main and the experiment
+    scripts run their whole body through here."""
     try:
-        code = command[args.command](args)
+        code = work()
         sys.stdout.flush()  # here, so that a closed stdout fails inside the try
         return code
     except BrokenPipeError as exc:
@@ -217,6 +217,12 @@ def main(argv=None) -> int:
     except DataComplexityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    command = {"profile": _cmd_profile, "qprofile": _cmd_qprofile, "barren": _cmd_barren, "report": _cmd_report}
+    return run(lambda: command[args.command](args))
 
 
 if __name__ == "__main__":

@@ -295,9 +295,11 @@ def validate_config(cfg: ConfigProfile) -> ConfigProfile:
     """Validate a config and return it unchanged.
 
     Raises :class:`InvalidConfig` on a value whose type does not fit its
-    field's annotation, non-finite or negative weights, an all-zero weight
-    group, a non-finite float field, non-positive thresholds, bin or sample
-    counts out of range, a negative seed, or an unsupported homology dimension.
+    field's annotation, non-finite or negative weights, a weight group whose
+    sum is zero or not finite, a non-finite float field, non-positive
+    thresholds, negative resource coefficients or a resource estimate that
+    is not finite at C = 1, bin or sample counts out of range, a negative
+    seed, or an unsupported homology dimension.
     """
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
@@ -314,6 +316,8 @@ def validate_config(cfg: ConfigProfile) -> ConfigProfile:
             raise InvalidConfig(f"negative weight in {group}: {weights}")
         if sum(weights) == 0:
             raise InvalidConfig(f"all-zero weight group {group}")
+        if not _finite(sum(weights)):  # a composite or bound would read inf
+            raise InvalidConfig(f"the weights of {group} must have a finite sum: {weights}")
 
     for name in FLOAT_FIELDS:
         value = getattr(cfg, name)
@@ -322,9 +326,16 @@ def validate_config(cfg: ConfigProfile) -> ConfigProfile:
     for name in ("epsilon_cumulant", "epsilon_grad", "kernel_bandwidth"):
         if getattr(cfg, name) <= 0:
             raise InvalidConfig(f"{name} must be > 0")
-    for name in ("lambda_penalty", "delta_topo", "kernel_ridge"):
+    for name in ("lambda_penalty", "delta_topo", "kernel_ridge", "resource_q0", "resource_q1", "resource_d0", "resource_d1"):
         if getattr(cfg, name) < 0:
             raise InvalidConfig(f"{name} must be >= 0")
+    # The resource estimate is monotone in C, so it is finite on [0, 1] when it is at C = 1.
+    if not _finite(cfg.resource_q0 + cfg.resource_q1):
+        raise InvalidConfig("resource_q0 + resource_q1 (the qubit estimate at C = 1) must be finite")
+    with np.errstate(all="ignore"):  # an exp past the float64 maximum reads inf
+        depth = cfg.resource_d0 * np.exp(cfg.resource_d1)
+    if not np.isfinite(depth):
+        raise InvalidConfig("resource_d0 * exp(resource_d1) (the depth estimate at C = 1) must be finite")
     if cfg.kernel_kind not in ("linear", "rbf"):
         raise InvalidConfig(f"unknown kernel kind {cfg.kernel_kind!r}")
     if cfg.max_homology_dim not in (0, 1, 2):

@@ -4,23 +4,25 @@ Each pipeline computes its metrics once into the report's MetricVector and
 reads the composites from it: profile_classical for the classical suite,
 profile_quantum for one embedding of the dataset and the quantum suite,
 barren_study_report for the gradient-variance study (the returned report's
-gradient_study). All three return only the report and build it through one
-path, _assemble: each composite is built or its missing metric becomes an
-"error:<name>=..." flag, the first composite sets the resource estimate,
-and the ComplexityReport is constructed there alone. profile_classical
-records each metric, or flags its failure, in one step.
+gradient_study). Every stage runs through the vector, which records its
+timing, its flags and its failure: mv.time lets a toolkit error end the run,
+and mv.attempt turns it into an "error:<name>=..." flag of a partial report.
+All three pipelines build the report through one path, _assemble: each
+composite is one mv.attempt, the first composite sets the resource
+estimate, and the ComplexityReport is constructed there alone.
 
-Reports are deterministic under (inputs, config, seed): keys are sorted,
-floats serialize via repr, and wall-clock timings are kept out of the JSON
-unless explicitly requested (they are the one non-reproducible field).
+Reports are byte-identical under (inputs, config, seed) on one numpy and
+BLAS build, CPU kernel and BLAS thread count; elsewhere their floats may
+move in the last digits (README). Keys are sorted, floats serialize via
+repr, and wall-clock timings are kept out of the JSON unless explicitly
+requested (they are the one non-reproducible field).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .classical import (
 )
 from .config import ConfigProfile, SeededRng
 from .dataset import Dataset, standardize
-from .errors import CapacityError, DataComplexityError, MissingMetric
+from .errors import CapacityError
 from .qmetrics import GradientStudy, gradient_variance_study
 from .scoring import (
     CompositeScore,
@@ -132,8 +134,6 @@ class ComplexityReport:
     topology: dict | None = None
     gradient_study: GradientStudy | None = None
     resource_estimate: dict | None = None
-    flags: list[str] = field(default_factory=list)
-    timings_ms: dict = field(default_factory=dict)
 
     def to_json_obj(self, include_timings: bool = False) -> dict:
         return {
@@ -147,9 +147,9 @@ class ComplexityReport:
             "topology": self.topology,
             "gradient_study": self.gradient_study.to_json_obj() if self.gradient_study else None,
             "resource_estimate": self.resource_estimate,
-            "flags": sorted(self.flags),
+            "flags": sorted(self.metrics.flags),
             "normalization_mode": "pinned_bounds",
-            "timings_ms": dict(sorted(self.timings_ms.items())) if include_timings else None,
+            "timings_ms": dict(sorted(self.metrics.timings.items())) if include_timings else None,
         }
 
     def to_json(self, include_timings: bool = False) -> str:
@@ -158,17 +158,6 @@ class ComplexityReport:
 
 def config_hash_hex(cfg: ConfigProfile) -> str:
     return format(cfg.config_hash(), "016x")
-
-
-class _Timer:
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-
-    def run(self, name: str, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        self.timings[name] = (time.perf_counter() - t0) * 1000.0
-        return out
 
 
 def _diagram_summary(diagram) -> dict:
@@ -188,33 +177,27 @@ def _diagram_summary(diagram) -> dict:
     }
 
 
-def _assemble(cfg: ConfigProfile, dataset: dict, mv: MetricVector, flags: list[str], builders=(), **fields) -> ComplexityReport:
-    """The report of every verb: its metrics, flags and composites.
+def _assemble(cfg: ConfigProfile, dataset: dict, mv: MetricVector, builders=(), **fields) -> ComplexityReport:
+    """The report of every verb: its metrics, flags, timings and composites.
 
     `builders` holds (name, build) pairs. Each build() reads `mv` into a
-    composite, or its MissingMetric becomes an "error:<name>=..." flag of a
-    partial report. The first composite (the classical one, or the one
-    induced by the feature map) sets the resource estimate when it is built.
+    composite through mv.attempt, so a missing metric becomes the flag
+    "error:<name>=..." of a partial report. The first composite (the
+    classical one, or the one induced by the feature map) sets the resource
+    estimate when it is built.
     """
-    composites, resource = [], None
-    for i, (name, build) in enumerate(builders):
-        try:
-            composite = build()
-        except MissingMetric as exc:
-            flags.append(f"error:{name}={exc}")
-            continue
-        composites.append(composite)
-        if i == 0:
-            qubits, depth = circuit_resource_estimate(clip01(composite.value), cfg)
-            resource = {"qubits": qubits, "depth": depth}
+    built = [mv.attempt(name, build) for name, build in builders]
+    resource = None
+    if built and built[0] is not None:
+        qubits, depth = circuit_resource_estimate(clip01(built[0].value), cfg)
+        resource = {"qubits": qubits, "depth": depth}
     return ComplexityReport(
         config_hash=config_hash_hex(cfg),
         seed=cfg.seed,
         dataset=dataset,
         metrics=mv,
-        composites=composites,
+        composites=[c for c in built if c is not None],
         resource_estimate=resource,
-        flags=flags,
         **fields,
     )
 
@@ -222,29 +205,16 @@ def _assemble(cfg: ConfigProfile, dataset: dict, mv: MetricVector, flags: list[s
 def profile_classical(ds: Dataset, cfg: ConfigProfile, use_standardized: bool = True) -> ComplexityReport:
     """Run the full classical metric suite plus topology and the composite.
 
-    A failing metric is recorded as an "error:<name>=..." flag and skipped;
-    the report stays partial rather than aborting the run.
+    Each metric is one mv.attempt: a failing metric is recorded as an
+    "error:<name>=..." flag and skipped, so the report stays partial rather
+    than aborting the run.
     """
-    timer = _Timer()
-    flags = ["infinite_bars=capped_at_max_scale"]
+    mv = MetricVector(["infinite_bars=capped_at_max_scale"])
     work = ds
     if use_standardized and not ds.is_standardized and ds.n_samples >= 2:
-        work = timer.run("standardize", lambda: standardize(ds))
-    flags.append("metrics_input=standardized" if work.is_standardized else "metrics_input=raw")
+        work = mv.time("standardize", lambda: standardize(ds))
+    mv.flags.append("metrics_input=standardized" if work.is_standardized else "metrics_input=raw")
     n, d = work.n_samples, work.n_features
-    mv = MetricVector()
-
-    def attempt(name: str, fn, bounds=None):
-        """Time fn as stage `name` and, given bounds, record its value as the
-        metric `name`; a toolkit error becomes a flag and gives None."""
-        try:
-            value = timer.run(name, fn)
-        except DataComplexityError as exc:
-            flags.append(f"error:{name}={exc}")
-            return None
-        if bounds is not None:
-            mv.add(name, value, bounds)
-        return value
 
     entropy_bound = max(math.log2(n), 1e-12) if n > 1 else 1.0
     # Bin ids are invariant under each column's z-score map, so they are read
@@ -253,37 +223,37 @@ def profile_classical(ds: Dataset, cfg: ConfigProfile, use_standardized: bool = 
     # a bin edge into the bin below.
     constant = np.isin(np.arange(d), work.constant_columns)
     binned = Dataset(np.where(constant, 0.0, ds.matrix), ds.column_names)
-    attempt("distributional_entropy", lambda: distributional_entropy(binned, cfg.bins_entropy), (0.0, entropy_bound))
+    mv.attempt("distributional_entropy", lambda: distributional_entropy(binned, cfg.bins_entropy), (0.0, entropy_bound))
     if work.is_standardized:
-        attempt("interaction_order", lambda: interaction_order(work, cfg.epsilon_cumulant), (1.0, 4.0))
+        mv.attempt("interaction_order", lambda: interaction_order(work, cfg.epsilon_cumulant), (1.0, 4.0))
     else:
         mv.add("interaction_order", 1.0, (1.0, 4.0))
-        flags.append("interaction_order=raw_input_floor")
-    attempt("compression_ratio", lambda: compression_ratio(work), (0.0, 1.0))
+        mv.flags.append("interaction_order=raw_input_floor")
+    mv.attempt("compression_ratio", lambda: compression_ratio(work), (0.0, 1.0))
 
     if n >= 2:
-        spectrum = attempt("covariance_spectrum", lambda: covariance_spectrum(work))
+        spectrum = mv.attempt("covariance_spectrum", lambda: covariance_spectrum(work))
         if spectrum is not None:
-            attempt("intrinsic_dimension", lambda: intrinsic_dimension(spectrum), (0.0, float(d)))
+            mv.attempt("intrinsic_dimension", lambda: intrinsic_dimension(spectrum), (0.0, float(d)))
     else:
-        flags.append("covariance=skipped_single_row")
+        mv.flags.append("covariance=skipped_single_row")
 
-    kspec = attempt("kernel_spectrum", lambda: gram_spectrum(kernel_gram(work, cfg.kernel_kind, cfg.kernel_bandwidth)))
+    kspec = mv.attempt("kernel_spectrum", lambda: gram_spectrum(kernel_gram(work, cfg.kernel_kind, cfg.kernel_bandwidth)))
     if kspec is not None:
-        attempt("kernel_effective_dimension", lambda: kernel_effective_dimension(kspec, cfg.kernel_ridge), (0.0, float(n)))
-        attempt("kernel_effective_rank", lambda: effective_rank(kspec), (0.0, float(n)))
+        mv.attempt("kernel_effective_dimension", lambda: kernel_effective_dimension(kspec, cfg.kernel_ridge), (0.0, float(n)))
+        mv.attempt("kernel_effective_rank", lambda: effective_rank(kspec), (0.0, float(n)))
 
     def _topo():
         dm = distance_matrix_from_points(work.matrix)
         return rips_persistence(dm, cfg), dm.diameter()
 
-    topo = attempt("persistence", _topo)
+    topo = mv.attempt("persistence", _topo)
     if topo is not None:
         add_topological_complexity(mv, "topological_complexity", *topo, n, cfg)
 
     builders = [("classical_complexity", lambda: classical_complexity(mv, cfg.lambda_weights))]
     topology = _diagram_summary(topo[0]) if topo is not None else None
-    return _assemble(cfg, ds.describe(), mv, flags, builders, topology=topology, timings_ms=timer.timings)
+    return _assemble(cfg, ds.describe(), mv, builders, topology=topology)
 
 
 def profile_quantum(
@@ -299,11 +269,10 @@ def profile_quantum(
     quantum composites are weighted reads of that vector, like the classical
     composite. Rows are embedded raw (angle maps min-max scale internally);
     the report records that choice. As in profile_classical, a failing
-    topology detail and each composite it leaves incomplete become
+    topology detail or M5, and each composite it leaves incomplete, become
     "error:<name>=..." flags of a partial report. A given `n_qubits` is
     checked by FeatureMap (1..MAX_QUBITS) and encode_rows (room for a row).
     """
-    timer = _Timer()
     if n_qubits is None:
         n_qubits = required_qubits(fm_kind, ds.n_features)
         if n_qubits > MAX_QUBITS:
@@ -312,16 +281,15 @@ def profile_quantum(
                 f" (at most {MAX_QUBITS} are simulated)"
             )
     fm = FeatureMap(kind=fm_kind, n_qubits=n_qubits)
-    flags = ["embedding_input=raw", f"feature_map={fm_kind}", "infinite_bars=capped_at_max_scale"]
-    ensemble = timer.run("embed", lambda: embed_dataset(ds, fm))
-    mv = timer.run("quantum_metrics", lambda: quantum_metrics(ensemble, cfg, flags))
-    m5 = timer.run("expressibility", lambda: expressibility_locality(fm, ds.n_features, cfg))
-    mv.add("m5_expressibility_locality", m5, (0.0, 1.0))
+    mv = MetricVector(["embedding_input=raw", f"feature_map={fm_kind}", "infinite_bars=capped_at_max_scale"])
+    ensemble = mv.time("embed", lambda: embed_dataset(ds, fm))
+    mv.time("quantum_metrics", lambda: quantum_metrics(ensemble, cfg, mv))
+    mv.attempt("m5_expressibility_locality", lambda: expressibility_locality(fm, ds.n_features, cfg), (0.0, 1.0))
     builders = [
         ("induced_complexity", lambda: induced_complexity(mv, cfg.beta_weights, fm_kind)),
         ("quantum_complexity", lambda: quantum_complexity(mv, cfg.alpha_weights)),
     ]
-    return _assemble(cfg, ds.describe(), mv, flags, builders, timings_ms=timer.timings)
+    return _assemble(cfg, ds.describe(), mv, builders)
 
 
 def barren_study_report(
@@ -337,10 +305,10 @@ def barren_study_report(
     study = gradient_variance_study(
         range(n_min, n_max + 1), depth, n_samples, cost_kind, SeededRng(cfg.seed)
     )
-    mv = MetricVector()
+    mv = MetricVector([f"cost_kind={cost_kind}"])
     mv.add("fitted_slope", study.fitted_slope, (-2.0, 0.0))
     dataset = {"source": f"barren_study:n={n_min}..{n_max},depth={depth}"}
-    return _assemble(cfg, dataset, mv, [f"cost_kind={cost_kind}"], gradient_study=study)
+    return _assemble(cfg, dataset, mv, gradient_study=study)
 
 
 def render_report(obj: dict) -> str:

@@ -26,6 +26,7 @@ Values outside their bounds clip into [0, 1].
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,19 +100,41 @@ class MetricEntry:
 
 
 class MetricVector:
-    """Named raw metric values plus their normalized [0, 1] counterparts."""
+    """Named raw metric values plus their normalized [0, 1] counterparts, and
+    the run's flags and stage timings (ms) that every stage records here."""
 
-    def __init__(self):
+    def __init__(self, flags=()):
         self.entries: dict[str, MetricEntry] = {}
+        self.flags: list[str] = list(flags)
+        self.timings: dict[str, float] = {}
 
-    def add(self, name: str, raw: float, bounds: tuple[float, float]) -> float:
+    def time(self, name: str, fn):
+        """fn(), timed as stage `name`; a toolkit error propagates."""
+        t0 = time.perf_counter()
+        out = fn()
+        self.timings[name] = (time.perf_counter() - t0) * 1000.0
+        return out
+
+    def attempt(self, name: str, fn, bounds=None):
+        """fn(), timed as stage `name` and, given bounds, recorded as metric
+        `name`. A toolkit error becomes the flag "error:<name>=..." of a
+        partial report and gives None: the one place such a flag is built."""
+        try:
+            value = self.time(name, fn)
+        except DataComplexityError as exc:
+            self.flags.append(f"error:{name}={exc}")
+            return None
+        if bounds is not None:
+            self.add(name, value, bounds)
+        return value
+
+    def add(self, name: str, raw: float, bounds: tuple[float, float]) -> None:
         lo, hi = bounds
         if hi <= lo:
             normalized = 0.0
         else:
             normalized = clip01((raw - lo) / (hi - lo))
         self.entries[name] = MetricEntry(raw=float(raw), normalized=normalized, bounds=(float(lo), float(hi)))
-        return normalized
 
     def normalized(self, name: str) -> float:
         if name not in self.entries:
@@ -253,7 +276,7 @@ def quantum_topology_detail(gram: np.ndarray, cfg: ConfigProfile) -> QuantumTopo
     )
 
 
-def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, flags: list[str] | None = None) -> MetricVector:
+def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, mv: MetricVector | None = None) -> MetricVector:
     """The ensemble's metric vector: the mean Schmidt rank and every entry
     the quantum and induced composites read, except M5.
 
@@ -265,24 +288,18 @@ def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, flags: list[str] | N
     Each entry is normalized against its pinned bound. M5 needs the
     encoding circuit rather than the ensemble; see expressibility_locality.
 
-    A failing topology detail (say, more states than rips_point_cap) raises,
-    or, when `flags` is a list, is recorded there as
-    "error:quantum_topology=..." and its two entries are left out.
+    The entries go into `mv` (a new vector by default), which is returned. A
+    failing topology detail (say, more states than rips_point_cap) becomes
+    its flag "error:quantum_topology=...", and its two entries are left out.
     """
+    mv = MetricVector() if mv is None else mv
     n = e.n_qubits
     size = e.size
     gram = ensemble_gram(e)
     rank = effective_rank(gram_spectrum(gram))
-    try:
-        detail = quantum_topology_detail(gram, cfg)
-    except DataComplexityError as exc:
-        if flags is None:
-            raise
-        flags.append(f"error:quantum_topology={exc}")
-        detail = None
+    detail = mv.attempt("quantum_topology", lambda: quantum_topology_detail(gram, cfg))
     qfis = collective_z_qfis(e.amplitudes)
 
-    mv = MetricVector()
     entropy = 0.0
     if n >= 2:
         spectra = schmidt_spectra(e.amplitudes, _half_split(n))

@@ -215,7 +215,19 @@ def test_config_value_of_wrong_type_exit_4(field, value, tmp_path, capsys):
     assert f"invalid configuration: {field} must be of type" in err
 
 
-@pytest.mark.parametrize("config", ['{"bins_fidelity": 2.5}', '{"seed": "x"}', '{"seed": true}', '{"seed": -1}'])
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"bins_fidelity": 2.5}',
+        '{"seed": "x"}',
+        '{"seed": true}',
+        '{"seed": -1}',
+        '{"resource_d1": 100000}',
+        '{"resource_d0": -5}',
+        '{"lambda_weights": [1e308, 1e308, 1e308, 1e308]}',
+        '{"w_topology": [1e308, 1e308]}',
+    ],
+)
 @pytest.mark.parametrize("verb", [["profile"], ["qprofile", "--map", "angle"]])
 def test_bad_config_values_exit_4_on_both_verbs(config, verb, tmp_path, capsys):
     path = tmp_path / "config.json"

@@ -19,6 +19,7 @@ from datacomplexity.config import (
     validate_config,
 )
 from datacomplexity.errors import InvalidConfig
+from datacomplexity.scoring import circuit_resource_estimate
 
 
 def test_default_config_passes_unchanged():
@@ -43,6 +44,47 @@ def test_all_zero_group_rejected():
     cfg = dataclasses.replace(ConfigProfile(), gamma_weights=(0.0, 0.0, 0.0))
     with pytest.raises(InvalidConfig):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("group", config.WEIGHT_GROUPS)
+def test_weight_group_with_infinite_sum_rejected(group):
+    """Each weight is finite, but the sum overflows: a composite or a
+    topology bound would read inf, so the group is rejected by name."""
+    size = len(getattr(ConfigProfile(), group))
+    huge = dataclasses.replace(ConfigProfile(), **{group: (1e308,) * size})
+    with pytest.raises(InvalidConfig, match=f"{group} must have a finite sum"):
+        validate_config(huge)
+    at_edge = dataclasses.replace(ConfigProfile(), **{group: (1e308 / size,) * size})
+    assert validate_config(at_edge) == at_edge
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"resource_q0": -1.0}, "resource_q0"),
+        ({"resource_q1": -0.5}, "resource_q1"),
+        ({"resource_d0": -5.0}, "resource_d0"),
+        ({"resource_d1": -1e-9}, "resource_d1"),
+        ({"resource_q0": 1e308, "resource_q1": 1e308}, "resource_q0 \\+ resource_q1"),
+        ({"resource_d1": 710.0}, "exp\\(resource_d1\\)"),
+        ({"resource_d1": 100000.0}, "exp\\(resource_d1\\)"),
+        ({"resource_d0": 1e300, "resource_d1": 30.0}, "resource_d0 \\* exp"),
+        ({"resource_d0": 0.0, "resource_d1": 1000.0}, "exp\\(resource_d1\\)"),
+    ],
+)
+def test_resource_heuristic_bounded(fields, named):
+    """Coefficients are >= 0 and the estimate at C = 1 is finite, so
+    circuit_resource_estimate is finite and monotone on [0, 1]."""
+    with pytest.raises(InvalidConfig, match=named):
+        validate_config(dataclasses.replace(ConfigProfile(), **fields))
+
+
+def test_resource_heuristic_finite_at_the_edge():
+    edge = dataclasses.replace(ConfigProfile(), resource_q0=8e307, resource_q1=9e307, resource_d0=1e300, resource_d1=18.0)
+    assert validate_config(edge) == edge
+    estimates = [circuit_resource_estimate(c, edge) for c in np.linspace(0.0, 1.0, 11)]
+    assert estimates == sorted(estimates)
+    assert all(isinstance(q, int) and isinstance(d, int) for q, d in estimates)
 
 
 def test_bad_homology_dim_rejected():

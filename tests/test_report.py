@@ -101,7 +101,7 @@ def test_reports_validate_against_schema():
 
 def test_timings_excluded_by_default():
     report = profile_classical(small_dataset(), CFG)
-    assert report.timings_ms  # measured internally
+    assert report.metrics.timings  # measured internally
     assert report.to_json_obj()["timings_ms"] is None
     assert report.to_json_obj(include_timings=True)["timings_ms"]
 

@@ -178,6 +178,17 @@ def test_quantum_composite_unit_interval(ghz3_state, bell_state):
         assert 0.0 <= comp["normalized"] <= 1.0
 
 
+def test_quantum_metrics_flags_a_failing_topology():
+    # more states than the Rips cap: the vector carries the flag and every
+    # entry but the two that read the topology detail
+    e = phase_ring_ensemble(m=5)
+    mv = quantum_metrics(e, ConfigProfile(rips_point_cap=4))
+    assert mv.flags == ["error:quantum_topology=5 points exceeds the cap 4"]
+    assert "quantum_topological_complexity" not in mv.entries
+    assert "m6_embedding_topology" not in mv.entries
+    assert mv.entries.keys() == quantum_metrics(e, CFG).entries.keys() - {"quantum_topological_complexity", "m6_embedding_topology"}
+
+
 # ---------------------------------------------------------------------------
 # quantum topological complexity
 

@@ -1,12 +1,17 @@
-"""The experiment scripts run their verbs through cli.main: they write the
-verbs' bytes and exit with the verbs' codes, without a traceback."""
+"""The experiment scripts run their verbs through cli.main and their whole
+body through cli.run: they write the verbs' bytes and exit with the verbs'
+codes, without a traceback."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import datacomplexity
+from datacomplexity import cli
 from datacomplexity.cli import main
 from datacomplexity.synthetic import GENERATORS
 
@@ -19,7 +24,7 @@ def run_script(name, argv, monkeypatch, capsys):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
-    code = module.main()
+    code = cli.run(module.main)  # as the script's `__main__` line runs it
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -38,8 +43,9 @@ def test_barren_study_writes_the_verbs_report_and_csv(tmp_path, monkeypatch, cap
     [
         (["--samples", "100"], 4, "invalid configuration: n_samples must be >= 200"),
         (["--n-min", "2", "--n-max", "3", "--samples", "200"], 1, "error: need at least 3 study points"),
+        ([*STUDY, "--seed", "2", "--cost", "local", "--depth", "1"], 1, "error: fitted alpha -0.0173 < 0"),
     ],
-    ids=["verb_validation", "fit_error"],
+    ids=["verb_validation", "fit_error", "growing_variance"],
 )
 def test_barren_study_failures_exit_with_code_and_message(argv, code, message, monkeypatch, capsys):
     got, _, err = run_script("run_barren_study", argv, monkeypatch, capsys)
@@ -69,3 +75,19 @@ def test_script_usage_error_exits_4(name, monkeypatch, capsys):
         run_script(name, ["--seed", "abc"], monkeypatch, capsys)
     assert exc.value.code == 4
     assert "error: argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [("run_barren_study", STUDY), ("profile_synthetics", [])])
+def test_closed_stdout_exit_2(name, argv):
+    """The scripts' own printing meets a closed stdout as the verbs do: one
+    line on stderr and exit 2, with no traceback."""
+    src = str(Path(datacomplexity.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / f"{name}.py"), *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "cannot write <stdout>: Broken pipe\n"

@@ -5,7 +5,9 @@ under `python -O`, so none may appear in src/ or scripts/. The package and
 the scripts import only the standard library, the runtime dependencies and
 the package, so that an installed toolkit (and its import time) needs
 nothing that only the tests use. Only config.py constructs a random
-source, so every stream is derived from the run's seed in one place. And
+source, so every stream is derived from the run's seed in one place. One
+place builds the error: flag of a failing stage, and no script catches an
+exception: every entry point exits through cli.run. And
 src/ holds only what a verb, a script or the acceptance suite reaches, what
 the benchmark traces, or a paper formula named in PAPER_FORMULAS: test
 oracles live in tests/.
@@ -55,6 +57,37 @@ def test_module_imports_only_runtime_dependencies(path):
     allowed = set(sys.stdlib_module_names) | RUNTIME_IMPORTS
     foreign = [(line, name) for line, name in imported if name.partition(".")[0] not in allowed]
     assert foreign == [], f"{path.name} imports packages outside the runtime dependencies: {foreign}"
+
+
+def _error_flags(path):
+    """Lines that build an "error:<name>=..." flag: a string or f-string whose
+    text, with each replacement field read as {}, starts "error:" and a name."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if text.startswith("error:") and text[6:7] not in ("", " "):
+            found.append((_id(path), node.lineno))
+    return found
+
+
+def test_one_place_builds_error_flags():
+    """A failing stage becomes an error: flag in MetricVector.attempt alone,
+    so every partial report records its failures the same way."""
+    found = sorted({site for path in MODULES for site in _error_flags(path)})
+    assert len(found) == 1 and found[0][0] == "datacomplexity/scoring.py", f"error: flags built at {found}"
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=_id)
+def test_script_has_no_except(path):
+    """A script's failures exit through cli.run, the one handler of every
+    entry point, so no script catches an exception itself."""
+    lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.ExceptHandler)]
+    assert lines == [], f"{path.name} has except clauses at lines {lines}"
 
 
 # Calls that construct a numpy random source; any other call into
