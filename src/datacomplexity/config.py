@@ -160,8 +160,7 @@ class SeededRng:
     def children(self, *prefix: int, count: int) -> Iterator[np.random.Generator]:
         """The streams child(*prefix, i) for i in 0..count-1, with the same
         draws bit for bit. Their seed states are derived a block of indices
-        at a time in one numpy pass; each stream is valid until the next one
-        is requested."""
+        at a time in one numpy pass."""
         head = _words(self.seed)
         head += [0] * (_POOL - len(head))
         for k in prefix:

@@ -6,7 +6,9 @@ profile_quantum for one embedding of the dataset and the quantum suite,
 barren_study_report for the gradient-variance study (the returned report's
 gradient_study). Every stage runs through the vector, which records its
 timing, its flags and its failure: mv.time lets a toolkit error end the run,
-and mv.attempt turns it into an "error:<name>=..." flag of a partial report.
+and mv.attempt turns it into an "error:<name>=..." flag of a partial report;
+a metric that is not finite is such an error (MetricVector.add). Each
+verb's topology stage is one mv.attempt that records its own entries.
 All three pipelines build the report through one path, _assemble: each
 composite is one mv.attempt, the first composite sets the resource
 estimate, and the ComplexityReport is constructed there alone.
@@ -45,7 +47,6 @@ from .qmetrics import GradientStudy, gradient_variance_study
 from .scoring import (
     CompositeScore,
     MetricVector,
-    add_topological_complexity,
     classical_complexity,
     circuit_resource_estimate,
     clip01,
@@ -55,6 +56,7 @@ from .scoring import (
     quantum_complexity,
     quantum_metrics,
     rips_persistence,
+    topological_entry,
 )
 from .simulator import MAX_QUBITS, FeatureMap, required_qubits
 from .topology import distance_matrix_from_points, total_persistence
@@ -205,9 +207,9 @@ def _assemble(cfg: ConfigProfile, dataset: dict, mv: MetricVector, builders=(), 
 def profile_classical(ds: Dataset, cfg: ConfigProfile, use_standardized: bool = True) -> ComplexityReport:
     """Run the full classical metric suite plus topology and the composite.
 
-    Each metric is one mv.attempt: a failing metric is recorded as an
-    "error:<name>=..." flag and skipped, so the report stays partial rather
-    than aborting the run.
+    Each metric is one mv.attempt: a failing metric, or one that is not
+    finite, is recorded as an "error:<name>=..." flag and skipped, so the
+    report stays partial rather than aborting the run.
     """
     mv = MetricVector(["infinite_bars=capped_at_max_scale"])
     work = ds
@@ -243,16 +245,15 @@ def profile_classical(ds: Dataset, cfg: ConfigProfile, use_standardized: bool = 
         mv.attempt("kernel_effective_dimension", lambda: kernel_effective_dimension(kspec, cfg.kernel_ridge), (0.0, float(n)))
         mv.attempt("kernel_effective_rank", lambda: effective_rank(kspec), (0.0, float(n)))
 
-    def _topo():
-        dm = distance_matrix_from_points(work.matrix)
-        return rips_persistence(dm, cfg), dm.diameter()
+    def record_topology():
+        diagram, diameter = rips_persistence(distance_matrix_from_points(work.matrix), cfg)
+        mv.add("topological_complexity", *topological_entry(diagram, diameter, n, cfg))
+        return diagram
 
-    topo = mv.attempt("persistence", _topo)
-    if topo is not None:
-        add_topological_complexity(mv, "topological_complexity", *topo, n, cfg)
+    diagram = mv.attempt("persistence", record_topology)
 
     builders = [("classical_complexity", lambda: classical_complexity(mv, cfg.lambda_weights))]
-    topology = _diagram_summary(topo[0]) if topo is not None else None
+    topology = _diagram_summary(diagram) if diagram is not None else None
     return _assemble(cfg, ds.describe(), mv, builders, topology=topology)
 
 
@@ -267,9 +268,9 @@ def profile_quantum(
     One pass: quantum_metrics computes every ensemble metric once into the
     report's MetricVector, M5 is added next to them, and the induced and
     quantum composites are weighted reads of that vector, like the classical
-    composite. Rows are embedded raw (angle maps min-max scale internally);
-    the report records that choice. As in profile_classical, a failing
-    topology detail or M5, and each composite it leaves incomplete, become
+    composite. Rows are embedded raw (embed_dataset scales them); the report
+    records that choice. As in profile_classical, a failing topology stage
+    or M5, and each composite it leaves incomplete, become
     "error:<name>=..." flags of a partial report. A given `n_qubits` is
     checked by FeatureMap (1..MAX_QUBITS) and encode_rows (room for a row).
     """

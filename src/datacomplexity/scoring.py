@@ -21,6 +21,12 @@ log2 N, interaction order vs its 1..4 range, ratios vs 1, entanglement
 entropies vs qubit counts) or against a benchmark collection; the mode and
 bounds are recorded next to every normalized value so reports stay auditable.
 Values outside their bounds clip into [0, 1].
+
+Values past float range take one path each way: embed_dataset and
+encode_rows divide each angle column and amplitude row by its largest
+magnitude before scaling it, and MetricVector.add, the one writer of
+entries, rejects a raw value or bound that is not finite, which attempt
+turns into its stage's "error:<name>=..." flag.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .errors import (
     FitError,
     InvalidConfig,
     MissingMetric,
+    NumericalError,
 )
 from .qmetrics import (
     SCHMIDT_TOL,
@@ -117,24 +124,31 @@ class MetricVector:
 
     def attempt(self, name: str, fn, bounds=None):
         """fn(), timed as stage `name` and, given bounds, recorded as metric
-        `name`. A toolkit error becomes the flag "error:<name>=..." of a
-        partial report and gives None: the one place such a flag is built."""
+        `name`. A toolkit error, a non-finite metric among them (see add),
+        becomes the flag "error:<name>=..." of a partial report and gives
+        None: the one place such a flag is built."""
         try:
             value = self.time(name, fn)
+            if bounds is not None:
+                self.add(name, value, bounds)
         except DataComplexityError as exc:
             self.flags.append(f"error:{name}={exc}")
             return None
-        if bounds is not None:
-            self.add(name, value, bounds)
         return value
 
-    def add(self, name: str, raw: float, bounds: tuple[float, float]) -> None:
-        lo, hi = bounds
-        if hi <= lo:
-            normalized = 0.0
-        else:
-            normalized = clip01((raw - lo) / (hi - lo))
-        self.entries[name] = MetricEntry(raw=float(raw), normalized=normalized, bounds=(float(lo), float(hi)))
+    def add(self, name: str, raw: float, bounds: tuple[float, float], *more) -> None:
+        """Record metric `name`, and each (name, raw, bounds) of `more`, min-max
+        normalized against its bounds: the one writer of entries. A raw value
+        or bound that is not finite raises NumericalError, and none is kept."""
+        built = {}
+        for name, raw, bounds in ((name, raw, bounds), *more):
+            raw = float(raw)
+            lo, hi = (float(b) for b in bounds)
+            if not all(map(math.isfinite, (raw, lo, hi))):
+                raise NumericalError(f"{name} is not finite: raw {raw!r}, bounds ({lo!r}, {hi!r})")
+            normalized = 0.0 if hi <= lo else clip01((raw - lo) / (hi - lo))
+            built[name] = MetricEntry(raw=raw, normalized=normalized, bounds=(lo, hi))
+        self.entries.update(built)
 
     def normalized(self, name: str) -> float:
         if name not in self.entries:
@@ -229,75 +243,64 @@ def default_tripartition(n: int) -> tuple[list[int], list[int], list[int]]:
     return a, b, c
 
 
-@dataclass(frozen=True)
-class QuantumTopologyDetail:
-    s_topo: float
-    euler: int
-    persistence_sum: float
-    diagram: PersistenceDiagram
-    diameter: float
-
-
-def rips_persistence(dm: DistanceMatrix, cfg: ConfigProfile) -> PersistenceDiagram:
-    """Persistence of the Rips filtration of `dm` under the config's scale cap,
-    homology dimension and point cap: the one Rips call of every verb."""
+def rips_persistence(dm: DistanceMatrix, cfg: ConfigProfile) -> tuple[PersistenceDiagram, float]:
+    """The persistence diagram of the Rips filtration of `dm` under the
+    config's scale cap, homology dimension and point cap, and the diameter of
+    `dm`: the one Rips call of every verb."""
     filtration = rips_filtration(dm, max_scale=cfg.rips_max_scale, max_dim=cfg.max_homology_dim, point_cap=cfg.rips_point_cap)
-    return persistence_diagram(filtration)
+    return persistence_diagram(filtration), dm.diameter()
 
 
-def add_topological_complexity(mv: MetricVector, name: str, diagram: PersistenceDiagram, diameter: float, n_points: int, cfg: ConfigProfile) -> None:
-    """Record topological_complexity(diagram) as entry `name`, normalized
-    against its pinned bound sum(w_topology) * N * diameter."""
+def topological_entry(diagram: PersistenceDiagram, diameter: float, n_points: int, cfg: ConfigProfile) -> tuple[float, tuple[float, float]]:
+    """topological_complexity(diagram) and its pinned bounds
+    (0, sum(w_topology) * N * diameter), as MetricVector.add reads them."""
     bound = max(sum(cfg.w_topology) * n_points * max(diameter, 1e-12), 1e-12)
-    mv.add(name, topological_complexity(diagram, cfg.w_topology), (0.0, bound))
+    return topological_complexity(diagram, cfg.w_topology), (0.0, bound)
 
 
-def quantum_topology_detail(gram: np.ndarray, cfg: ConfigProfile) -> QuantumTopologyDetail:
-    """TEE, Euler characteristic, and persistence of the fidelity point cloud.
-
-    `gram` is the ensemble's fidelity Gram matrix; distances are
-    sqrt(1 - fidelity). The Euler characteristic is evaluated at
-    euler_scale_fraction of the filtration scale (pinned convention).
-    The TEE is recorded as exactly 0: the ensemble's states are pure and
-    default_tripartition covers the register, so S_AB = S_C, S_BC = S_A,
-    S_AC = S_B and S_ABC = 0 (qmetrics.topological_entanglement_entropies
-    evaluates the combination for any blocks).
-    """
-    dm = DistanceMatrix(values=fidelity_distances(gram))
-    diagram = rips_persistence(dm, cfg)
-    euler = euler_characteristic(diagram, cfg.euler_scale_fraction * diagram.max_scale)
-    pers = sum(total_persistence(diagram, k) for k in range(cfg.max_homology_dim + 1))
-    return QuantumTopologyDetail(
-        s_topo=0.0,
-        euler=euler,
-        persistence_sum=pers,
-        diagram=diagram,
-        diameter=dm.diameter(),
-    )
+def quantum_topology_detail(gram: np.ndarray, cfg: ConfigProfile) -> tuple[PersistenceDiagram, float]:
+    """rips_persistence of the fidelity point cloud: `gram` is the
+    ensemble's fidelity Gram matrix, and distances are sqrt(1 - fidelity)."""
+    return rips_persistence(DistanceMatrix(values=fidelity_distances(gram)), cfg)
 
 
 def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, mv: MetricVector | None = None) -> MetricVector:
     """The ensemble's metric vector: the mean Schmidt rank and every entry
     the quantum and induced composites read, except M5.
 
-    The fidelity Gram, the topology detail, the bipartite entropy and the
+    The fidelity Gram, its Rips persistence, the bipartite entropy and the
     per-state QFIs are computed once and shared by both composites; one SVD
     of the half split gives both the entropy and the Schmidt rank. The
     multipartite correlation sums single-qubit entropies of 2x2 reduced
-    states, and the TEE is recorded as 0.0 (see quantum_topology_detail).
-    Each entry is normalized against its pinned bound. M5 needs the
+    states. Each entry is normalized against its pinned bound. M5 needs the
     encoding circuit rather than the ensemble; see expressibility_locality.
+    The TEE term of the quantum topological complexity is exactly 0: the
+    states are pure and default_tripartition covers the register, so
+    S_AB = S_C, S_BC = S_A, S_AC = S_B and S_ABC = 0. The Euler
+    characteristic is read at euler_scale_fraction of the filtration scale.
 
-    The entries go into `mv` (a new vector by default), which is returned. A
-    failing topology detail (say, more states than rips_point_cap) becomes
-    its flag "error:quantum_topology=...", and its two entries are left out.
+    The entries go into `mv` (a new vector by default), which is returned.
+    The topology stage is one attempt that records both entries that read
+    the diagram or neither: a failing Rips run (more states than
+    rips_point_cap, say) or a value or bound that is not finite (an
+    overflowing weight) becomes its flag "error:quantum_topology=...".
     """
     mv = MetricVector() if mv is None else mv
     n = e.n_qubits
     size = e.size
     gram = ensemble_gram(e)
     rank = effective_rank(gram_spectrum(gram))
-    detail = mv.attempt("quantum_topology", lambda: quantum_topology_detail(gram, cfg))
+
+    def record_topology():
+        diagram, diameter = quantum_topology_detail(gram, cfg)
+        g1, g2, g3 = (float(g) for g in cfg.gamma_weights)
+        euler = euler_characteristic(diagram, cfg.euler_scale_fraction * diagram.max_scale)
+        pers = sum(total_persistence(diagram, k) for k in range(cfg.max_homology_dim + 1))
+        bound = g1 * n + g2 * size + g3 * size * max(diameter, 1e-12)
+        m6 = ("m6_embedding_topology", *topological_entry(diagram, diameter, size, cfg))
+        mv.add("quantum_topological_complexity", g2 * euler + g3 * pers, (0.0, bound), m6)
+
+    mv.attempt("quantum_topology", record_topology)
     qfis = collective_z_qfis(e.amplitudes)
 
     entropy = 0.0
@@ -314,11 +317,6 @@ def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, mv: MetricVector | N
     mv.add("m2_qfi_spread", float(np.var(qfis)), (0.0, float(n**4) / 4.0))
     mv.add("m3_entanglement_entropy", entropy, (0.0, max(1, n // 2)))
     mv.add("m4_kernel_flatness", rank / size, (0.0, 1.0))
-    if detail is not None:
-        g1, g2, g3 = (float(g) for g in cfg.gamma_weights)
-        ctopq = g1 * detail.s_topo + g2 * detail.euler + g3 * detail.persistence_sum
-        mv.add("quantum_topological_complexity", ctopq, (0.0, g1 * n + g2 * size + g3 * size * max(detail.diameter, 1e-12)))
-        add_topological_complexity(mv, "m6_embedding_topology", detail.diagram, detail.diameter, size, cfg)
     return mv
 
 
@@ -337,13 +335,12 @@ def quantum_complexity(mv: MetricVector, alpha_weights) -> CompositeScore:
 
 def embed_dataset(ds: Dataset, fm: FeatureMap) -> QuantumEnsemble:
     """Encode every row in one batched pass into the uniform ensemble. An
-    angle map reads each column min-max scaled to [0, 1] over these rows; a
-    column whose span overflows is divided by its largest magnitude first."""
+    angle map divides each column by its largest magnitude, which keeps any
+    finite span finite, then min-max scales it to [0, 1] over these rows (a
+    constant column reads 0); encode_rows scales amplitude rows likewise."""
     x = ds.matrix
     if fm.kind == "angle":
-        with np.errstate(over="ignore"):  # a span past the float64 maximum reads inf
-            wide = np.isinf(x.max(axis=0) - x.min(axis=0))
-        x = np.where(wide, scale_by_max_magnitude(x), x)
+        x = scale_by_max_magnitude(x)
         lo, hi = x.min(axis=0), x.max(axis=0)
         x = (x - lo) / np.where(hi > lo, hi - lo, 1.0)
     return QuantumEnsemble(encode_rows(fm, x))

@@ -525,9 +525,12 @@ def encoding_circuit(fm: FeatureMap, n_features: int) -> ParameterizedCircuit:
 def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
     """Map every row of an (N, d) matrix to a state: the (N, 2^n) amplitudes.
 
-    Angle rows run encoding_circuit through run_product_batch, one column per
-    row, and _fill_product multiplies the per-qubit factors in qubit order.
-    Beyond that engine's per-qubit check, no norm check is made here;
+    An amplitude row is divided by its largest magnitude (ZeroVector names
+    the first all-zero row), then by its norm, the square root of an einsum
+    of squares, so no norm over- or underflows and no BLAS call is made.
+    Angle rows run encoding_circuit through run_product_batch, one column
+    per row, and _fill_product multiplies the per-qubit factors in qubit
+    order. Beyond that engine's per-qubit check, no norm check is made here;
     QuantumEnsemble checks the whole array once.
     """
     x = np.asarray(matrix, dtype=np.float64)
@@ -537,16 +540,11 @@ def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
         raise CapacityError(f"{fm.kind} encoding of {d} features requires {need} qubits, the register has {fm.n_qubits}")
     amps = np.zeros((rows, 2**fm.n_qubits), dtype=complex)
     if fm.kind == "amplitude":
-        for i, row in enumerate(x):
-            with np.errstate(over="ignore"):
-                norm = float(np.linalg.norm(row))
-            if not 0.0 < norm < math.inf:  # all zero, or a norm that under- or overflows
-                peak = float(np.max(np.abs(row)))
-                if peak == 0.0:
-                    raise ZeroVector(f"row {i}: cannot amplitude-encode an all-zero vector")
-                row = row / peak
-                norm = float(np.linalg.norm(row))
-            amps[i, :d] = row / norm
+        peak = np.max(np.abs(x), axis=1)
+        if not peak.all():
+            raise ZeroVector(f"row {np.argmin(peak)}: cannot amplitude-encode an all-zero vector")
+        x = x / peak[:, None]
+        amps[:, :d] = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
     elif fm.kind == "basis":
         amps[np.arange(rows), (x > 0.0) @ (1 << np.arange(d))] = 1.0
     else:

@@ -351,19 +351,32 @@ def test_profile_csv_format(capsys):
     assert out.splitlines()[0] == "metric,raw,normalized"
 
 
+def strict_json(text):
+    """json.loads, failing on Infinity and NaN, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"report holds {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_profile_partial_report_on_metric_failure(tmp_path, capsys):
-    # a Rips cap below the point count fails the topology metric; the run
-    # still emits a report, with error flags and exit code 1
+    # a Rips cap below the point count, or a weight that overflows the
+    # topology metric, fails the topology stage; the run still emits a
+    # report, with error flags and exit code 1, and it is strict JSON
+    cases = [
+        ("synth:gaussian_blob:n=30,d=2", '{"rips_point_cap": 4}', "error:persistence=30 points exceeds the cap 4"),
+        ("synth:circle", '{"w_topology": [1e308, 0.5]}', "error:persistence=topological_complexity is not finite"),
+    ]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"rips_point_cap": 4}')
-    code, out, _ = run_cli(
-        ["profile", "synth:gaussian_blob:n=30,d=2", "--config", str(cfg)], capsys
-    )
-    assert code == 1
-    report = json.loads(out)
-    assert any(f.startswith("error:persistence") for f in report["flags"])
-    assert any(f.startswith("error:classical_complexity") for f in report["flags"])
-    assert "distributional_entropy" in report["metrics"]
+    for source, config, flag in cases:
+        cfg.write_text(config)
+        code, out, _ = run_cli(["profile", source, "--config", str(cfg)], capsys)
+        assert code == 1, config
+        report = strict_json(out)
+        assert any(f.startswith(flag) for f in report["flags"]), report["flags"]
+        assert any(f.startswith("error:classical_complexity") for f in report["flags"])
+        assert "distributional_entropy" in report["metrics"]
 
 
 def test_profile_all_constant_csv_partial_report(tmp_path, capsys):
@@ -441,24 +454,29 @@ def test_qprofile_amplitude_zero_row_exit_2(tmp_path, capsys):
 
 
 # Finite rows whose column span or row norm overflows float64, and rows
-# whose norm underflows to 0 although they are not all zero
-EXTREME_CSV = {"huge": "1e308,-1e308\n-1e308,1e308\n1,2\n", "tiny": "1e-300,2e-300\n3e-300,-1e-300\n0,5e-301\n"}
+# whose norm underflows to 0 (or whose squares fall below the normal range)
+# although they are not all zero
+EXTREME_CSV = {
+    "huge": "1e308,-1e308\n-1e308,1e308\n1,2\n",
+    "tiny": "1e-300,2e-300\n3e-300,-1e-300\n0,5e-301\n",
+    "subnormal": "1e-170,1e-160\n1,2\n3,1\n",
+}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "source, argv",
     [("huge", ["--map", m]) for m in ("angle", "amplitude", "basis")]
-    + [("tiny", ["--map", "amplitude"])]
+    + [(rows, ["--map", "amplitude"]) for rows in ("tiny", "subnormal")]
     + [("synth:random_bytes", ["--map", "amplitude", "--seed", str(s)]) for s in range(4)],
     ids=[f"huge-{m}" for m in ("angle", "amplitude", "basis")]
-    + ["tiny-amplitude"]
+    + ["tiny-amplitude", "subnormal-amplitude"]
     + [f"random_bytes-amplitude-seed{s}" for s in range(4)],
 )
 def test_qprofile_embeds_extreme_rows(source, argv, tmp_path, capsys):
     """An angle column whose span hi - lo overflows, or an amplitude row
-    whose norm over- or underflows, is divided by its largest magnitude
-    first, so it embeds."""
+    whose norm over- or underflows (or whose squares fall below the normal
+    range), embeds: each is divided by its largest magnitude first."""
     if source in EXTREME_CSV:
         path = tmp_path / f"{source}.csv"
         path.write_text(EXTREME_CSV[source])
@@ -507,23 +525,31 @@ def test_qprofile_qubits_exit_codes(tmp_path_factory, fm_kind, d, qubits):
 
 
 def test_qprofile_partial_report_on_topology_failure(tmp_path, capsys):
-    # more rows than the Rips cap: the topology entries and both composites
-    # that read them become error flags of a partial report, exit 1
+    # more rows than the Rips cap, or a weight that overflows a bound: the
+    # topology entries and both composites that read them become error
+    # flags of a partial report in strict JSON, exit 1
+    cases = [
+        (
+            ["synth:gaussian_blob:n=12,d=4", "--map", "amplitude"],
+            '{"rips_point_cap": 8}',
+            "error:quantum_topology=12 points exceeds the cap 8",
+        ),
+        (["synth:circle"], '{"gamma_weights": [0, 1e308, 0]}', "error:quantum_topology=quantum_topological_complexity is not finite"),
+    ]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"rips_point_cap": 8}')
-    code, out, _ = run_cli(
-        ["qprofile", "synth:gaussian_blob:n=12,d=4", "--map", "amplitude", "--config", str(cfg)], capsys
-    )
-    assert code == 1
-    report = json.loads(out)
-    jsonschema.validate(report, REPORT_SCHEMA_V1)
-    assert "error:quantum_topology=12 points exceeds the cap 8" in report["flags"]
-    assert any(f.startswith("error:induced_complexity=") for f in report["flags"])
-    assert any(f.startswith("error:quantum_complexity=") for f in report["flags"])
-    assert report["composites"] == [] and report["resource_estimate"] is None
-    assert "quantum_topological_complexity" not in report["metrics"]
-    assert "m6_embedding_topology" not in report["metrics"]
-    assert "m1_support_dimension" in report["metrics"]
+    for argv, config, flag in cases:
+        cfg.write_text(config)
+        code, out, _ = run_cli(["qprofile", *argv, "--config", str(cfg)], capsys)
+        assert code == 1, config
+        report = strict_json(out)
+        jsonschema.validate(report, REPORT_SCHEMA_V1)
+        assert any(f.startswith(flag) for f in report["flags"]), report["flags"]
+        assert any(f.startswith("error:induced_complexity=") for f in report["flags"])
+        assert any(f.startswith("error:quantum_complexity=") for f in report["flags"])
+        assert report["composites"] == [] and report["resource_estimate"] is None
+        assert "quantum_topological_complexity" not in report["metrics"]
+        assert "m6_embedding_topology" not in report["metrics"]
+        assert "m1_support_dimension" in report["metrics"]
 
 
 def test_qprofile_phase_ring_m6_positive(capsys):

@@ -13,6 +13,7 @@ from datacomplexity.errors import (
     FitError,
     InvalidConfig,
     MissingMetric,
+    NumericalError,
 )
 from datacomplexity.qmetrics import (
     GradientStudy,
@@ -44,6 +45,7 @@ from datacomplexity.simulator import (
     run_circuit,
     zero_state,
 )
+from datacomplexity.topology import total_persistence
 
 CFG = ConfigProfile()
 
@@ -90,6 +92,35 @@ def test_missing_component_rejected():
     mv = metric_vector({"distributional_entropy": 0.5})
     with pytest.raises(MissingMetric):
         classical_complexity(mv, (0.25,) * 4)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["raw", "lo", "hi"])
+def test_add_rejects_a_non_finite_value_or_bound(where, bad):
+    """An entry whose raw value or bound is not finite raises NumericalError,
+    and no entry of that call is recorded, a finite one before it included."""
+    raw_lo_hi = [0.5, 0.0, 1.0]
+    raw_lo_hi[where] = bad
+    raw, lo, hi = raw_lo_hi
+    mv = MetricVector()
+    with pytest.raises(NumericalError, match="^bad is not finite"):
+        mv.add("good", 0.5, (0.0, 1.0), ("bad", raw, (lo, hi)))
+    assert mv.entries == {}
+
+
+def test_attempt_flags_a_non_finite_metric():
+    """attempt records its metric inside its try: a value or bound that is
+    not finite becomes the stage's flag, and attempt gives None."""
+    mv = MetricVector()
+    assert mv.attempt("huge", lambda: 1e308 * 10.0, (0.0, 1.0)) is None
+    assert mv.attempt("wide", lambda: 0.5, (0.0, 1e308 * 10.0)) is None
+    assert mv.attempt("fine", lambda: 0.5, (0.0, 1.0)) == 0.5
+    assert mv.flags == [
+        "error:huge=huge is not finite: raw inf, bounds (0.0, 1.0)",
+        "error:wide=wide is not finite: raw 0.5, bounds (0.0, inf)",
+    ]
+    assert list(mv.entries) == ["fine"]
+    assert list(mv.timings) == ["huge", "wide", "fine"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,14 +210,21 @@ def test_quantum_composite_unit_interval(ghz3_state, bell_state):
 
 
 def test_quantum_metrics_flags_a_failing_topology():
-    # more states than the Rips cap: the vector carries the flag and every
-    # entry but the two that read the topology detail
+    # more states than the Rips cap, or a weight whose entry or bound
+    # overflows: the vector carries the flag and every entry but the two
+    # that read the diagram, neither of which is recorded without the other
     e = phase_ring_ensemble(m=5)
-    mv = quantum_metrics(e, ConfigProfile(rips_point_cap=4))
-    assert mv.flags == ["error:quantum_topology=5 points exceeds the cap 4"]
-    assert "quantum_topological_complexity" not in mv.entries
-    assert "m6_embedding_topology" not in mv.entries
-    assert mv.entries.keys() == quantum_metrics(e, CFG).entries.keys() - {"quantum_topological_complexity", "m6_embedding_topology"}
+    cases = [
+        (ConfigProfile(rips_point_cap=4), "error:quantum_topology=5 points exceeds the cap 4"),
+        (ConfigProfile(gamma_weights=(0.0, 1e308, 0.0)), "error:quantum_topology=quantum_topological_complexity is not finite"),
+        (ConfigProfile(w_topology=(1e308, 0.5)), "error:quantum_topology=m6_embedding_topology is not finite"),
+    ]
+    for cfg, flag in cases:
+        mv = quantum_metrics(e, cfg)
+        assert len(mv.flags) == 1 and mv.flags[0].startswith(flag), mv.flags
+        assert "quantum_topological_complexity" not in mv.entries
+        assert "m6_embedding_topology" not in mv.entries
+        assert mv.entries.keys() == quantum_metrics(e, CFG).entries.keys() - {"quantum_topological_complexity", "m6_embedding_topology"}
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +249,14 @@ def test_zero_gamma_weights(product_plus_state):
 
 def test_identical_states_zero_persistence(bell_state):
     e = uniform_ensemble([bell_state] * 4)
-    detail = quantum_topology_detail(ensemble_gram(e), CFG)
-    assert detail.persistence_sum == pytest.approx(0.0, abs=1e-6)
+    diagram, _ = quantum_topology_detail(ensemble_gram(e), CFG)
+    assert sum(total_persistence(diagram, k) for k in range(CFG.max_homology_dim + 1)) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_phase_ring_has_loop():
     e = phase_ring_ensemble()
-    detail = quantum_topology_detail(ensemble_gram(e), CFG)
-    h1 = detail.diagram.bars(1)
+    diagram, _ = quantum_topology_detail(ensemble_gram(e), CFG)
+    h1 = diagram.bars(1)
     assert len(h1) >= 1
     assert sum(b.lifetime for b in h1) > 0.0
 
@@ -227,7 +265,8 @@ def test_phase_ring_has_loop():
 def test_tee_vanishes_on_pure_states_with_covering_tripartition(n):
     """S_AB = S_C, S_BC = S_A, S_AC = S_B and S_ABC = 0 for a pure state, so
     the tripartite combination is 0 up to rounding on entangled ensembles,
-    and the topology detail records it as exactly 0."""
+    and quantum_metrics records it as exactly 0: weighted by the TEE alone,
+    the quantum topological complexity reads 0.0."""
     rng = SeededRng(60 + n).generator()
     states = []
     for _ in range(6):
@@ -237,7 +276,8 @@ def test_tee_vanishes_on_pure_states_with_covering_tripartition(n):
     assert mean_bipartite_entropy(e) > 0.1  # the states are entangled
     tee = topological_entanglement_entropies(e.amplitudes, *default_tripartition(n))
     assert np.max(np.abs(tee)) <= 1e-12
-    assert quantum_topology_detail(ensemble_gram(e), CFG).s_topo == 0.0
+    tee_only = quantum_metrics(e, ConfigProfile(gamma_weights=(1.0, 0.0, 0.0)))
+    assert tee_only.entries["quantum_topological_complexity"].raw == 0.0
 
 
 def test_default_tripartition_covers_register():

@@ -6,7 +6,8 @@ the scripts import only the standard library, the runtime dependencies and
 the package, so that an installed toolkit (and its import time) needs
 nothing that only the tests use. Only config.py constructs a random
 source, so every stream is derived from the run's seed in one place. One
-place builds the error: flag of a failing stage, and no script catches an
+place builds the error: flag of a failing stage, one writes the metric
+entries that every report reads, and no script catches an
 exception: every entry point exits through cli.run. And
 src/ holds only what a verb, a script or the acceptance suite reaches, what
 the benchmark traces, or a paper formula named in PAPER_FORMULAS: test
@@ -80,6 +81,56 @@ def test_one_place_builds_error_flags():
     so every partial report records its failures the same way."""
     found = sorted({site for path in MODULES for site in _error_flags(path)})
     assert len(found) == 1 and found[0][0] == "datacomplexity/scoring.py", f"error: flags built at {found}"
+
+
+# dict methods that change the dict in place
+DICT_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _written(target):
+    """The attributes a store target writes into: x.entries for both
+    x.entries and x.entries[k], through tuple unpacking."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [a for elt in target.elts for a in _written(elt)]
+    if isinstance(target, ast.Starred):
+        return _written(target.value)
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return [target] if isinstance(target, ast.Attribute) else []
+
+
+def _entry_writers(path):
+    """(module, enclosing def) of every store into an `entries` attribute:
+    assigning, augmenting or deleting it or an item of it, or calling a dict
+    method that changes it in place."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in DICT_MUTATORS:
+            targets = [node.func.value]
+        else:
+            targets = []
+        if any(a.attr == "entries" for t in targets for a in _written(t)):
+            found.add((_id(path), scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(_tree(path), "")
+    return found
+
+
+def test_one_place_writes_metric_entries():
+    """MetricVector.add is the one writer of metric entries (its __init__
+    makes the empty dict), so every entry passes its finiteness check."""
+    found = set().union(*(_entry_writers(path) for path in MODULES))
+    writers = {("datacomplexity/scoring.py", "MetricVector.__init__"), ("datacomplexity/scoring.py", "MetricVector.add")}
+    assert found == writers, f"metric entries written in {sorted(found - writers)}"
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=_id)
