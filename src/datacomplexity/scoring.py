@@ -22,11 +22,11 @@ entropies vs qubit counts) or against a benchmark collection; the mode and
 bounds are recorded next to every normalized value so reports stay auditable.
 Values outside their bounds clip into [0, 1].
 
-Values past float range take one path each way: embed_dataset and
-encode_rows divide each angle column and amplitude row by its largest
-magnitude before scaling it, and MetricVector.add, the one writer of
-entries, rejects a raw value or bound that is not finite, which attempt
-turns into its stage's "error:<name>=..." flag.
+Values past float range take one path each way: embed_dataset divides
+each angle column by its largest magnitude and encode_rows each amplitude
+row by the power of two just above it, and MetricVector.add, the one
+writer of entries, rejects a raw value or bound that is not finite, which
+attempt turns into its stage's "error:<name>=..." flag.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def embed_dataset(ds: Dataset, fm: FeatureMap) -> QuantumEnsemble:
     """Encode every row in one batched pass into the uniform ensemble. An
     angle map divides each column by its largest magnitude, which keeps any
     finite span finite, then min-max scales it to [0, 1] over these rows (a
-    constant column reads 0); encode_rows scales amplitude rows likewise."""
+    constant column reads 0); encode_rows scales amplitude rows by 2^-k."""
     x = ds.matrix
     if fm.kind == "angle":
         x = scale_by_max_magnitude(x)

@@ -525,9 +525,11 @@ def encoding_circuit(fm: FeatureMap, n_features: int) -> ParameterizedCircuit:
 def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
     """Map every row of an (N, d) matrix to a state: the (N, 2^n) amplitudes.
 
-    An amplitude row is divided by its largest magnitude (ZeroVector names
-    the first all-zero row), then by its norm, the square root of an einsum
-    of squares, so no norm over- or underflows and no BLAS call is made.
+    An amplitude row is divided by the power of two just above its largest
+    magnitude (ZeroVector names the first all-zero row), which is exact,
+    then by its norm, the square root of its dot product with itself: no
+    norm over- or underflows, and an in-range row keeps the bits of
+    row / norm(row), since fidelity distances below 1e-8 are rounding noise.
     Angle rows run encoding_circuit through run_product_batch, one column
     per row, and _fill_product multiplies the per-qubit factors in qubit
     order. Beyond that engine's per-qubit check, no norm check is made here;
@@ -543,8 +545,8 @@ def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
         peak = np.max(np.abs(x), axis=1)
         if not peak.all():
             raise ZeroVector(f"row {np.argmin(peak)}: cannot amplitude-encode an all-zero vector")
-        x = x / peak[:, None]
-        amps[:, :d] = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        x = np.ldexp(x, -np.frexp(peak)[1][:, None])
+        amps[:, :d] = x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
     elif fm.kind == "basis":
         amps[np.arange(rows), (x > 0.0) @ (1 << np.arange(d))] = 1.0
     else:

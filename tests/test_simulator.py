@@ -552,6 +552,19 @@ def test_angle_rows_match_written_out_product(d, n):
     np.testing.assert_allclose(amps, _angle_rows_reference(x, n), rtol=0, atol=4 * np.finfo(float).eps)
 
 
+@pytest.mark.parametrize("d", [1, 3, 8, 13])
+def test_amplitude_rows_keep_the_bits_of_row_over_norm(d):
+    """An amplitude row whose norm is in float range encodes bit for bit as
+    row / np.linalg.norm(row): its power-of-two scaling divides exactly and
+    its norm is the same dot product, so fidelity noise does not move."""
+    x = SeededRng(900 + d).generator().normal(size=(40, d))
+    x *= np.geomspace(1e-100, 1e100, 40)[:, None]
+    amps = encode_rows(FeatureMap(kind="amplitude", n_qubits=4), x)
+    expected = np.zeros((40, 16))
+    expected[:, :d] = [row / np.linalg.norm(row) for row in x]
+    assert np.array_equal(amps, expected)
+
+
 # ---------------------------------------------------------------------------
 # random layered circuits
 
