@@ -62,8 +62,6 @@ class Spectrum:
     def nonzero(self) -> np.ndarray:
         """Eigenvalues above the relative zero threshold."""
         ev = self.eigenvalues
-        if ev[0] <= 0.0:
-            return ev[:0]
         return ev[ev > EIGENVALUE_ZERO_REL * ev[0]]
 
 
@@ -124,10 +122,7 @@ def kernel_effective_dimension(s: Spectrum, lam: float) -> float:
     if lam < 0:
         raise InvalidConfig("regularization must be >= 0")
     ev = s.nonzero()
-    if lam == 0.0:
-        d_eff = float(ev.size)
-    else:
-        d_eff = float(np.sum(ev / (ev + lam)))
+    d_eff = float(np.sum(ev / (ev + lam)))
     total = float(ev.sum())
     denom = float((ev**2).sum()) + lam * total  # can underflow for subnormal spectra
     if total > 0.0 and denom > 0.0:

@@ -148,9 +148,6 @@ class SeededRng:
     def __post_init__(self):
         _stream_index(self.seed, "seed")
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-
     def child(self, *keys: int) -> np.random.Generator:
         """PCG64 seeded by SeedSequence(entropy=seed, spawn_key=keys)."""
         keys = tuple(_stream_index(k, "stream key") for k in keys)

@@ -275,8 +275,6 @@ def haar_fidelity_pdf(n_qubits: int, fidelity: float) -> float:
     if not 0.0 <= fidelity <= 1.0:
         raise InvalidConfig("fidelity must lie in [0, 1]")
     dim = 2**n_qubits
-    if dim == 2:
-        return 1.0
     return float((dim - 1) * (1.0 - fidelity) ** (dim - 2))
 
 
@@ -408,14 +406,15 @@ def collective_z_qfis(amps: np.ndarray) -> np.ndarray:
     generator J_z = sum_q Z_q / 2.
 
     Equals 4 Var(J_z): 0 for computational basis states, n^2 for GHZ states.
-    Used as the pinned per-state QFI proxy in the composite scores.
+    Used as the pinned per-state QFI proxy in the composite scores. The
+    moments <J_z> and <J_z^2> are row sums of elementwise products: no BLAS.
     """
     n = amps.shape[-1].bit_length() - 1
     # eigenvalue of J_z on basis state = (n - 2 * popcount) / 2
     jz = 0.5 * (n - 2.0 * popcount_table(n))
     probs = np.abs(amps) ** 2
-    mean = probs @ jz
-    second = probs @ jz**2
+    mean = (probs * jz).sum(axis=1)
+    second = (probs * jz**2).sum(axis=1)
     return 4.0 * np.maximum(second - mean**2, 0.0)
 
 
@@ -432,6 +431,16 @@ def local_cost_pauli(n: int) -> str:
     return "Z" + "I" * (n - 1)
 
 
+def least_squares_slope(x, y) -> float:
+    """Slope of the least-squares line through the points (x, y), in closed
+    form with no BLAS or LAPACK call: sum((x - mean x)(y - mean y)) /
+    sum((x - mean x)^2). The callers check their point counts."""
+    dx = np.asarray(x, dtype=np.float64)
+    dx = dx - dx.mean()
+    dy = np.asarray(y, dtype=np.float64)
+    return float((dx * (dy - dy.mean())).sum() / (dx * dx).sum())
+
+
 def gradient_variance_study(
     n_range,
     depth: int,
@@ -445,9 +454,9 @@ def gradient_variance_study(
     uniform angles are drawn from a child stream keyed by (n, sample) straight
     into the axis and angle arrays of layered_layout(n, depth); the first
     parameter is rotation 0, and all parameter-shift states of one n run as
-    one batch. The fitted slope is the least-squares slope of ln Var against
-    n. Qubit counts lie in 1..MAX_QUBITS; n * depth * n_samples at most
-    MAX_STUDY_ROTATIONS.
+    one batch. The fitted slope is least_squares_slope of ln max(Var, 1e-300)
+    against n, or 0.0 for one qubit count. Qubit counts lie in 1..MAX_QUBITS;
+    n * depth * n_samples at most MAX_STUDY_ROTATIONS.
     """
     n_range = tuple(int(n) for n in n_range)
     if not n_range:
@@ -474,9 +483,8 @@ def gradient_variance_study(
         grads = _shift_gradients(n, layered_layout(n, depth), axes.T, angles.T, (0,), cost)
         variances.append(float(np.var(grads)))
 
-    ns = np.asarray(n_range, dtype=np.float64)
     log_var = np.log(np.maximum(variances, 1e-300))
-    slope = float(np.polyfit(ns, log_var, 1)[0]) if len(n_range) >= 2 else 0.0
+    slope = least_squares_slope(n_range, log_var) if len(n_range) >= 2 else 0.0
     return GradientStudy(
         n_range=n_range,
         depth=depth,

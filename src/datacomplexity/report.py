@@ -42,7 +42,6 @@ from .classical import (
 )
 from .config import ConfigProfile, SeededRng
 from .dataset import Dataset, standardize
-from .errors import CapacityError
 from .qmetrics import GradientStudy, gradient_variance_study
 from .scoring import (
     CompositeScore,
@@ -271,16 +270,12 @@ def profile_quantum(
     composite. Rows are embedded raw (embed_dataset scales them); the report
     records that choice. As in profile_classical, a failing topology stage
     or M5, and each composite it leaves incomplete, become
-    "error:<name>=..." flags of a partial report. A given `n_qubits` is
-    checked by FeatureMap (1..MAX_QUBITS) and encode_rows (room for a row).
+    "error:<name>=..." flags of a partial report. The default register is
+    the smallest that holds a row, capped at MAX_QUBITS; FeatureMap checks
+    1..MAX_QUBITS and encode_rows is the one check that a row fits.
     """
     if n_qubits is None:
-        n_qubits = required_qubits(fm_kind, ds.n_features)
-        if n_qubits > MAX_QUBITS:
-            raise CapacityError(
-                f"{fm_kind} encoding of {ds.n_features} features requires {n_qubits} qubits"
-                f" (at most {MAX_QUBITS} are simulated)"
-            )
+        n_qubits = min(required_qubits(fm_kind, ds.n_features), MAX_QUBITS)
     fm = FeatureMap(kind=fm_kind, n_qubits=n_qubits)
     mv = MetricVector(["embedding_input=raw", f"feature_map={fm_kind}", "infinite_bars=capped_at_max_scale"])
     ensemble = mv.time("embed", lambda: embed_dataset(ds, fm))

@@ -56,6 +56,7 @@ from .qmetrics import (
     ensemble_gram,
     expressibility_kl,
     fidelity_distances,
+    least_squares_slope,
     reduced_entropies,
     schmidt_spectra,
     single_qubit_entropies,
@@ -384,7 +385,7 @@ def trainability_prediction(
 
 
 def fit_alpha(study: GradientStudy, depth: int, c_norm: float) -> float:
-    """Recover alpha from a study: least-squares slope of ln Var over n,
+    """Recover alpha from a study: least_squares_slope of ln Var over n,
     divided by -depth * c_norm."""
     if len(study.n_range) < 3:
         raise FitError("need at least 3 study points")
@@ -392,8 +393,7 @@ def fit_alpha(study: GradientStudy, depth: int, c_norm: float) -> float:
         raise FitError("variances must be > 0 to fit the log-linear model")
     if depth <= 0 or c_norm <= 0:
         raise FitError("depth and c_norm must be > 0")
-    ns = np.asarray(study.n_range, dtype=np.float64)
-    slope = float(np.polyfit(ns, np.log(study.variances), 1)[0])
+    slope = least_squares_slope(study.n_range, np.log(study.variances))
     return -slope / (depth * c_norm)
 
 

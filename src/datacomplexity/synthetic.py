@@ -90,7 +90,7 @@ class SyntheticSpec:
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
-    m = GENERATORS[spec.generator](SeededRng(spec.seed).generator(), **spec.params)
+    m = GENERATORS[spec.generator](SeededRng(spec.seed).child(), **spec.params)
     names = tuple(f"c{j}" for j in range(m.shape[1]))
     return Dataset(matrix=m, column_names=names, source=f"synth:{spec.generator}:seed={spec.seed}")
 

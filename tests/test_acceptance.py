@@ -109,7 +109,7 @@ def test_criterion_03_mutual_information():
 def test_criterion_04_kernel_spectral_formulas():
     identity = Spectrum(np.ones(10), source="kernel")
     assert abs(kernel_effective_dimension(identity, 1.0) - 5.0) <= 1e-12
-    rng = SeededRng(1000).generator()
+    rng = SeededRng(1000).child()
     for _ in range(100):
         size = int(rng.integers(2, 30))
         ev = rng.uniform(0.0, 5.0, size=size)
@@ -127,7 +127,7 @@ def test_criterion_04_kernel_spectral_formulas():
 def test_criterion_05_interaction_order():
     parity = standardize(generate(SyntheticSpec("parity", seed=0, params={"n": 256})))
     assert interaction_order(parity, 0.1) == 3
-    rng = SeededRng(31).generator()
+    rng = SeededRng(31).child()
     independent = standardize(
         Dataset(rng.choice([-1.0, 1.0], size=(50000, 3)), ("a", "b", "c"))
     )
@@ -165,7 +165,7 @@ def test_criterion_06_topology():
 
 
 def test_criterion_07_compression_ordering():
-    rng = SeededRng(2024).generator()
+    rng = SeededRng(2024).child()
     shape = (16384, 8)  # 1 MiB of float64
     constant = Dataset(np.full(shape, 3.25), tuple("abcdefgh"))
 
@@ -201,7 +201,7 @@ def test_criterion_08_expressibility():
 
 
 def test_criterion_09_gradient_correctness():
-    rng = SeededRng(555).generator()
+    rng = SeededRng(555).child()
     checked = 0
     while checked < 50:
         n = int(rng.integers(1, 5))
@@ -218,7 +218,7 @@ def test_criterion_09_gradient_correctness():
 
 
 def test_criterion_10_composite_algebra():
-    rng = SeededRng(77).generator()
+    rng = SeededRng(77).child()
     for _ in range(50):
         comps = rng.uniform(0, 1, size=4)
         weights = rng.uniform(0, 1, size=4)

@@ -40,7 +40,7 @@ def test_counted_parameters_keep_their_names_and_places():
     from datacomplexity.config import SeededRng
 
     tracer = load_tracer()
-    circuit = simulator.random_layered_circuit(3, 2, SeededRng(0).generator())
+    circuit = simulator.random_layered_circuit(3, 2, SeededRng(0).child())
     calls = {
         "run_with_angles": (["c"], (circuit, circuit.rotation_angles(np.zeros(circuit.n_params)))),
         "encode": (["fm", "x"], (simulator.FeatureMap("angle", 4), [0.1, 0.2, 0.3])),

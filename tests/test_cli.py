@@ -835,6 +835,52 @@ def test_commands_byte_identical(args, capsys):
     assert out_a == out_b
 
 
+# Kernel and thread settings of OpenBLAS, read once when numpy loads. They act
+# on OpenBLAS only: under another BLAS every setting runs the same code.
+OPENBLAS_SETTINGS = {
+    "default": {},
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "one_thread": {"OPENBLAS_NUM_THREADS": "1"},
+}
+CHILD_MAIN = """import sys
+from datacomplexity.cli import main
+for seed in sys.argv[1].split(","):
+    if main([*sys.argv[2:], "--seed", seed]):
+        sys.exit(1)
+"""
+
+
+def run_child(setting, argv, seeds):
+    """stdout of `datacomplexity <argv> --seed s` for each seed in turn, run in
+    one child process whose only OpenBLAS variables are those of `setting`."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    env.update(OPENBLAS_SETTINGS[setting], PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    seeds = ",".join(str(s) for s in seeds)
+    proc = subprocess.run([sys.executable, "-c", CHILD_MAIN, seeds, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_barren_identical_on_every_openblas_kernel():
+    """No BLAS or LAPACK call reaches a barren report: its fitted slope is a
+    closed-form least-squares fit, so the report is the same on every
+    OpenBLAS kernel and thread count."""
+    argv = ["barren", "--n-max", "6", "--samples", "200"]
+    outs = {setting: run_child(setting, argv, range(4)) for setting in OPENBLAS_SETTINGS}
+    differ = [setting for setting, out in outs.items() if out != outs["default"]]
+    assert differ == []
+
+
+def test_qfi_entries_identical_on_openblas_sandybridge():
+    """mean_qfi and m2_qfi_spread take their J_z moments without BLAS, so a
+    kernel that rounds matrix products differently leaves them unchanged."""
+    argv = ["qprofile", "synth:gaussian_blob:n=96,d=8", "--map", "angle"]
+    default, other = (json.loads(run_child(s, argv, [0]))["metrics"] for s in ("default", "sandybridge"))
+    for name in ("mean_qfi", "m2_qfi_spread"):
+        assert other[name] == default[name], name
+
+
 def test_shipped_schema_matches_module():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(here, "docs", "report_schema_v1.json")) as fh:

@@ -134,8 +134,8 @@ def test_unknown_config_field_rejected(tmp_path):
 
 
 def test_seeded_rng_reproducible():
-    a = SeededRng(123).generator().uniform(size=10)
-    b = SeededRng(123).generator().uniform(size=10)
+    a = SeededRng(123).child().uniform(size=10)
+    b = SeededRng(123).child().uniform(size=10)
     assert np.array_equal(a, b)
 
 

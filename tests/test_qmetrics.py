@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from datacomplexity import qmetrics
@@ -32,6 +34,7 @@ from datacomplexity.qmetrics import (
     gradient_variance_study,
     haar_bin_masses,
     haar_fidelity_pdf,
+    least_squares_slope,
     pure_state_qfi,
     quantum_interaction_order,
     quantum_mutual_information,
@@ -90,7 +93,7 @@ def test_ghz_single_qubit_entropy(ghz3_state):
 
 
 def random_layered_states(n, count, seed):
-    rng = SeededRng(seed).generator()
+    rng = SeededRng(seed).child()
     states = []
     for _ in range(count):
         circuit = random_layered_circuit(n, 3, rng)
@@ -147,7 +150,7 @@ def test_single_qubit_entropies_match_partial_trace(n, monkeypatch):
 
 
 def test_entropy_symmetry_over_bipartitions():
-    rng = SeededRng(400).generator()
+    rng = SeededRng(400).child()
     circuit = random_layered_circuit(5, 3, rng)
     state = run_circuit(circuit, rng.uniform(0, 2 * math.pi, circuit.n_params))
     for keep in ([0], [0, 1], [0, 2, 4], [1, 3]):
@@ -172,7 +175,7 @@ def test_schmidt_rank_product(product_plus_state):
 def test_schmidt_rank_haar_random_two_qubits():
     from datacomplexity.simulator import StateVector
 
-    rng = SeededRng(42).generator()
+    rng = SeededRng(42).child()
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps /= np.linalg.norm(amps)
     state = StateVector(n_qubits=2, amplitudes=amps)
@@ -188,7 +191,7 @@ def test_schmidt_rank_trivial_partition(bell_state):
 
 
 def test_schmidt_rank_one_iff_zero_entropy():
-    rng = SeededRng(43).generator()
+    rng = SeededRng(43).child()
     for _ in range(10):
         circuit = random_layered_circuit(3, 2, rng)
         state = run_circuit(circuit, rng.uniform(0, 2 * math.pi, circuit.n_params))
@@ -222,7 +225,7 @@ def test_mutual_information_overlap_rejected(bell_state):
 
 
 def test_mutual_information_bounds():
-    rng = SeededRng(44).generator()
+    rng = SeededRng(44).child()
     for _ in range(8):
         circuit = random_layered_circuit(4, 3, rng)
         state = run_circuit(circuit, rng.uniform(0, 2 * math.pi, circuit.n_params))
@@ -253,7 +256,7 @@ def test_product_state_correlators_vanish(product_plus_state):
 
 def test_correlator_order_cap(ghz3_state):
     with pytest.raises(OrderTooHigh):
-        rng = SeededRng(0).generator()
+        rng = SeededRng(0).child()
         c = random_layered_circuit(5, 1, rng)
         state = run_circuit(c, rng.uniform(0, 2 * math.pi, c.n_params))
         connected_correlator(state, [(q, "Z") for q in range(5)])
@@ -370,7 +373,7 @@ def test_parameter_free_product_circuit_has_unit_fidelities():
 
 
 def test_entangling_circuit_keeps_statevector_path():
-    circuit = random_layered_circuit(3, 2, SeededRng(9).generator())
+    circuit = random_layered_circuit(3, 2, SeededRng(9).child())
     axes, angles = _pair_rotations(circuit, 100, SeededRng(4))
     full = _statevector_pair_fidelities(3, circuit.layout, axes, angles)
     assert np.array_equal(sample_fidelities(circuit, 100, SeededRng(4)), full)
@@ -436,7 +439,7 @@ def finite_difference(circuit, theta, cost, k, h=1e-5):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_gradient_matches_finite_difference(seed):
-    rng = SeededRng(900 + seed).generator()
+    rng = SeededRng(900 + seed).child()
     n = int(rng.integers(1, 5))
     circuit = random_layered_circuit(n, int(rng.integers(1, 5)), rng)
     theta = rng.uniform(0, 2 * math.pi, circuit.n_params)
@@ -449,7 +452,7 @@ def test_gradient_matches_finite_difference(seed):
 
 def test_single_rotation_variance_half():
     # Var over theta ~ U[0, 2pi) of d<Z>/dtheta = -sin(theta) is exactly 1/2
-    rng = SeededRng(77).generator()
+    rng = SeededRng(77).child()
     thetas = rng.uniform(0, 2 * math.pi, 2000)
     grads = [gradient(ry_z_circuit(), [t], "Z", 0) for t in thetas]
     assert np.var(grads) == pytest.approx(0.5, abs=0.05)
@@ -502,6 +505,29 @@ def test_gradient_study_variances_unchanged(seed, cost_kind):
     assert tuple(repr(v) for v in study.variances) == STUDY_VARIANCES[seed, cost_kind]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(-50, 50), st.floats(-1e3, 1e3, allow_nan=False)),
+        min_size=2,
+        max_size=14,
+        unique_by=lambda p: p[0],
+    )
+)
+def test_least_squares_slope_matches_polyfit(points):
+    x, y = (np.array(c, dtype=np.float64) for c in zip(*points))
+    scale = max(1.0, float(np.abs(y).max()))
+    assert least_squares_slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12, abs=1e-12 * scale)
+
+
+@given(st.integers(1, MAX_QUBITS), st.integers(2, 14), st.integers(-1000, 1000), st.integers(-1000, 1000))
+def test_least_squares_slope_exact_on_integer_line(start, count, intercept, slope):
+    """On consecutive integer x, as in a study's qubit counts, every step
+    of the closed form is exact, so the slope of an integer line is too."""
+    x = np.arange(start, start + count)
+    assert least_squares_slope(x, intercept + slope * x) == slope
+
+
 # Traced peak of one study pass, in MiB. The per-rotation coefficient kernel
 # peaked at 1.34 (n=6) and 1.89 (n=12); the bound adds 0.25 MiB. One
 # (R, 2, 2, B) coefficient table per chunk would reach 2.4 at n=6.
@@ -530,7 +556,7 @@ def test_gradient_study_builds_no_circuit(monkeypatch):
     monkeypatch.setattr(ParameterizedCircuit, "__post_init__", counting)
     gradient_variance_study(range(2, 5), 2, 200, "global", SeededRng(1))
     assert built == []
-    random_layered_circuit(2, 1, SeededRng(1).generator())
+    random_layered_circuit(2, 1, SeededRng(1).child())
     assert built == [2]
 
 
@@ -554,7 +580,7 @@ def test_gradient_study_size_limit(monkeypatch):
     ids=["run_circuit", "gradient", "pure_state_qfi"],
 )
 def test_theta_length_checked(call, length):
-    circuit = random_layered_circuit(3, 2, SeededRng(12).generator())
+    circuit = random_layered_circuit(3, 2, SeededRng(12).child())
     assert circuit.n_params == 6
     with pytest.raises(ArityError, match="takes 6 parameters"):
         call(circuit, np.zeros(length))

@@ -270,7 +270,7 @@ def test_tee_vanishes_on_pure_states_with_covering_tripartition(n):
     the tripartite combination is 0 up to rounding on entangled ensembles,
     and quantum_metrics records it as exactly 0: weighted by the TEE alone,
     the quantum topological complexity reads 0.0."""
-    rng = SeededRng(60 + n).generator()
+    rng = SeededRng(60 + n).child()
     states = []
     for _ in range(6):
         circuit = random_layered_circuit(n, 4, rng)

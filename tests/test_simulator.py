@@ -129,7 +129,7 @@ def test_parameter_count_mismatch():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_circuits_match_dense_oracle(seed):
-    rng = SeededRng(seed).generator()
+    rng = SeededRng(seed).child()
     n = int(rng.integers(2, 5))
     circuit = random_layered_circuit(n, 3, rng)
     theta = rng.uniform(0, 2 * math.pi, circuit.n_params)
@@ -140,7 +140,7 @@ def test_random_circuits_match_dense_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_expectations_match_dense_oracle(seed):
-    rng = SeededRng(100 + seed).generator()
+    rng = SeededRng(100 + seed).child()
     n = int(rng.integers(2, 5))
     circuit = random_layered_circuit(n, 2, rng)
     theta = rng.uniform(0, 2 * math.pi, circuit.n_params)
@@ -174,7 +174,7 @@ def random_gate_circuit(rng, n, n_gates=24):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_engine_single_column_matches_dense_oracle(n):
-    rng = SeededRng(200 + n).generator()
+    rng = SeededRng(200 + n).child()
     for _ in range(4):
         circuit = random_gate_circuit(rng, n)
         theta = rng.uniform(0, 2 * math.pi, circuit.n_params)
@@ -199,7 +199,7 @@ def column_circuit(circuit, axes, angles):
 def test_engine_batch_matches_dense_oracle(n, monkeypatch):
     # chunks of 3 columns (2 in pairs), so the batch spans several chunks
     monkeypatch.setattr(simulator, "CHUNK_BYTES", 3 * 32 * 2**n)
-    rng = SeededRng(300 + n).generator()
+    rng = SeededRng(300 + n).child()
     circuit = random_gate_circuit(rng, n)
     n_rotations = sum(g.name in ROTATION_GATES for g in circuit.gates)
     axes = rng.integers(0, 3, size=(n_rotations, 8)).astype(np.int8)
@@ -229,7 +229,7 @@ def test_engine_batch_matches_dense_oracle(n, monkeypatch):
 def test_batched_rotation_angles_match_columns(n):
     """rotation_angles of a (P, B) theta is its per-column calls side by side,
     and each rotation reads its own Gate's slot or fixed angle."""
-    rng = SeededRng(400 + n).generator()
+    rng = SeededRng(400 + n).child()
     circuit = random_gate_circuit(rng, n)
     assert circuit.n_params > 0
     # a fixed angle, and a second occurrence of every slot on another axis
@@ -250,7 +250,7 @@ def test_batched_rotation_angles_match_columns(n):
 def test_product_engine_matches_dense_oracle(n):
     """Without CNOT/CZ, the kron of a column's per-qubit factors is the state
     the dense oracle gives, phase included; a qubit with no gate stays |0>."""
-    rng = SeededRng(350 + n).generator()
+    rng = SeededRng(350 + n).child()
     circuit = random_gate_circuit(rng, n, n_gates=2 * n)
     circuit = ParameterizedCircuit(n, tuple(g for g in circuit.gates if len(g.qubits) == 1), circuit.n_params)
     n_rotations = sum(g.name in ROTATION_GATES for g in circuit.gates)
@@ -282,7 +282,7 @@ def test_rotate_matches_dense_operator_in_both_forms(n, monkeypatch):
     its gather form (every q below a huge _INNER_RUN), its half-view form
     (_INNER_RUN = 1) and the default split; the forms add the same products
     in the same order, so they are bit-equal to each other."""
-    rng = SeededRng(500 + n).generator()
+    rng = SeededRng(500 + n).child()
     units = [np.outer(np.eye(2)[i], np.eye(2)[j]) for i in range(2) for j in range(2)]
     for q in range(n):
         # kron(I, u, I) = sum_ij u[i, j] kron(I, E_ij, I)
@@ -325,7 +325,7 @@ def test_product_prefix_is_bit_equal_to_zero_start(n, monkeypatch):
     (the full-block path, an empty prefix), bit for bit, on the layered
     ansatz, on random layouts with a product prefix and on random layouts."""
     monkeypatch.setattr(simulator, "CHUNK_BYTES", 3 * 32 * 2**n)  # several chunks
-    rng = SeededRng(600 + n).generator()
+    rng = SeededRng(600 + n).child()
     cases = [(layered_layout(n, 3), n)]
     for _ in range(3):
         circuit, prefix = prefixed_circuit(rng, n)
@@ -354,7 +354,7 @@ def test_product_prefix_is_bit_equal_to_zero_start(n, monkeypatch):
 def test_engine_rejects_bad_norm(monkeypatch):
     """A block whose states lose unit norm, through the product fill of the
     first layer or through a gate after it, raises before it is read."""
-    circuit = random_layered_circuit(3, 2, SeededRng(4).generator())
+    circuit = random_layered_circuit(3, 2, SeededRng(4).child())
     layout = circuit.layout + (("X", (1,)),)
     assert simulator._product_prefix(layout)[0] == 3  # the X runs on the block
     angles = np.zeros((len(circuit.axes), 4))
@@ -386,7 +386,7 @@ def test_engine_rejects_bad_norm(monkeypatch):
 
 
 def test_norm_preserved_through_deep_circuit():
-    rng = SeededRng(9).generator()
+    rng = SeededRng(9).child()
     circuit = random_layered_circuit(5, 8, rng)
     state = run_circuit(circuit, rng.uniform(0, 2 * math.pi, circuit.n_params))
     assert np.vdot(state.amplitudes, state.amplitudes).real == pytest.approx(1.0, abs=1e-10)
@@ -458,7 +458,7 @@ def test_partial_trace_density_consistent(ghz3_state):
 
 def test_schmidt_symmetry_random_states():
     # complementary reductions of a pure state share their nonzero spectrum
-    rng = SeededRng(11).generator()
+    rng = SeededRng(11).child()
     circuit = random_layered_circuit(4, 3, rng)
     state = run_circuit(circuit, rng.uniform(0, 2 * math.pi, circuit.n_params))
     ev_a = np.sort(partial_trace(state, [0, 1]).eigenvalues())[::-1]
@@ -546,7 +546,7 @@ def _angle_rows_reference(x: np.ndarray, n: int) -> np.ndarray:
 def test_angle_rows_match_written_out_product(d, n):
     """encode_rows runs the encoding circuit through the product engine; its
     rows equal the written-out product of cos/sin factors to rounding."""
-    x = SeededRng(700 + 10 * d + n).generator().uniform(0.0, 1.0, size=(9, d))
+    x = SeededRng(700 + 10 * d + n).child().uniform(0.0, 1.0, size=(9, d))
     x[0], x[1] = 0.0, 1.0
     amps = encode_rows(FeatureMap(kind="angle", n_qubits=n), x)
     np.testing.assert_allclose(amps, _angle_rows_reference(x, n), rtol=0, atol=4 * np.finfo(float).eps)
@@ -557,7 +557,7 @@ def test_amplitude_rows_keep_the_bits_of_row_over_norm(d):
     """An amplitude row whose norm is in float range encodes bit for bit as
     row / np.linalg.norm(row): its power-of-two scaling divides exactly and
     its norm is the same dot product, so fidelity noise does not move."""
-    x = SeededRng(900 + d).generator().normal(size=(40, d))
+    x = SeededRng(900 + d).child().normal(size=(40, d))
     x *= np.geomspace(1e-100, 1e100, 40)[:, None]
     amps = encode_rows(FeatureMap(kind="amplitude", n_qubits=4), x)
     expected = np.zeros((40, 16))
@@ -570,19 +570,19 @@ def test_amplitude_rows_keep_the_bits_of_row_over_norm(d):
 
 
 def test_layered_circuit_shapes():
-    c1 = random_layered_circuit(1, 1, SeededRng(0).generator())
+    c1 = random_layered_circuit(1, 1, SeededRng(0).child())
     assert c1.n_params == 1
     assert sum(g.name == "CNOT" for g in c1.gates) == 0
-    c2 = random_layered_circuit(3, 2, SeededRng(0).generator())
+    c2 = random_layered_circuit(3, 2, SeededRng(0).child())
     assert c2.n_params == 6
     assert sum(g.name == "CNOT" for g in c2.gates) == 4
 
 
 @pytest.mark.parametrize("n, depth", [(1, 1), (3, 2), (5, 4)])
 def test_layered_circuit_is_layout_plus_axes(n, depth):
-    circuit = random_layered_circuit(n, depth, SeededRng(n + depth).generator())
+    circuit = random_layered_circuit(n, depth, SeededRng(n + depth).child())
     assert circuit.layout == layered_layout(n, depth)
-    assert np.array_equal(circuit.axes, layered_axes(n, depth, SeededRng(n + depth).generator()))
+    assert np.array_equal(circuit.axes, layered_axes(n, depth, SeededRng(n + depth).child()))
     assert np.array_equal(circuit.slots, np.arange(n * depth))
 
 
@@ -598,8 +598,8 @@ def test_layered_axes_is_per_layer_draws(n, depth, seed):
 
 
 def test_layered_circuit_deterministic():
-    a = random_layered_circuit(4, 3, SeededRng(21).generator())
-    b = random_layered_circuit(4, 3, SeededRng(21).generator())
+    a = random_layered_circuit(4, 3, SeededRng(21).child())
+    b = random_layered_circuit(4, 3, SeededRng(21).child())
     assert a == b
 
 

@@ -8,8 +8,9 @@ nothing that only the tests use. Only config.py constructs a random
 source, so every stream is derived from the run's seed in one place. One
 place builds the error: flag of a failing stage, one writes the metric
 entries that every report reads, and no script catches an
-exception: every entry point exits through cli.run. And
-src/ holds only what a verb, a script or the acceptance suite reaches, what
+exception: every entry point exits through cli.run. No code calls
+numpy's LAPACK least-squares solvers (polyfit, lstsq): every fit is the
+closed form of qmetrics.least_squares_slope. And src/ holds only what a verb, a script or the acceptance suite reaches, what
 the benchmark traces, or a paper formula named in PAPER_FORMULAS: test
 oracles live in tests/.
 """
@@ -175,6 +176,22 @@ def test_only_config_constructs_random_sources(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "random":
             found.append((node.lineno, "random"))
     assert found == [], f"{path.name} constructs random sources outside config.py: {found}"
+
+
+# numpy's least-squares solvers, both LAPACK calls, at any import path
+LEAST_SQUARES_SOLVERS = {"polyfit", "lstsq"}
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_id)
+def test_no_lapack_least_squares(path):
+    """A LAPACK fit rounds differently on each BLAS kernel; the closed form
+    in qmetrics.least_squares_slope gives one slope on all of them."""
+    found = [
+        (node.lineno, _dotted(node.func))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] in LEAST_SQUARES_SOLVERS
+    ]
+    assert found == [], f"{path.name} calls a LAPACK least-squares solver: {found}"
 
 
 # Formulas of the paper that README lists as features although no verb
