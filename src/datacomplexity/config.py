@@ -168,53 +168,141 @@ class SeededRng:
         return _spawn(head, count)
 
 
+# Checked before any allocation: the fidelity histogram holds one count per
+# bin, and the expressibility sampler runs two states per sample.
+MAX_FIDELITY_BINS = 1 << 16
+MAX_EXPRESSIBILITY_SAMPLES = 1 << 16
+
+
+def _has_type(annotation: str, value) -> bool:
+    """Whether `value` fits a field annotation of ConfigProfile. An int field
+    takes integers, a float field any real number; neither takes a bool,
+    which Python counts as an int but JSON keeps apart."""
+    if annotation.endswith(" | None"):
+        return value is None or _has_type(annotation.removesuffix(" | None"), value)
+    if annotation.startswith("tuple["):
+        item = annotation.removeprefix("tuple[").split(",")[0].rstrip("]")
+        return isinstance(value, tuple) and all(_has_type(item, v) for v in value)
+    if annotation == "str":
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral if annotation == "int" else numbers.Real)
+
+
+def _finite(value) -> bool:
+    """math.isfinite, and False for an integer too large for a float. A
+    tuple is finite when its entries and their sum are: a composite or a
+    bound that sums a weight group would read inf otherwise."""
+    if isinstance(value, tuple):
+        return all(map(_finite, value)) and _finite(sum(value))
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+_COMPARE = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
+
+
+@dataclass(frozen=True)
+class Rule:
+    """What a value takes besides its type and being finite: value >= lo,
+    value <= hi and value > gt where given, or one of the choices. A tuple is
+    a weight group: size entries (any count for None), each keeping the rest
+    of the rule, and not all 0."""
+
+    lo: float | None = None
+    hi: float | None = None
+    gt: float | None = None
+    choices: tuple = ()
+    size: int | None = None
+
+    def bounds(self) -> list[tuple[str, float]]:
+        return [(op, b) for op, b in ((">=", self.lo), ("<=", self.hi), (">", self.gt)) if b is not None]
+
+    def admits(self, value) -> bool:
+        if isinstance(value, tuple):
+            return len(value) == (self.size or len(value)) and any(value) and all(map(self.admits, value))
+        if value is None or self.choices:
+            return value is None or value in self.choices
+        return all(_COMPARE[op](value, b) for op, b in self.bounds())
+
+    def describe(self, value) -> str:
+        if self.choices:
+            return " or ".join(map(repr, self.choices))
+        rule = " and ".join(f"{op} {b}" for op, b in self.bounds())
+        return f"{self.size or 'any number of'} entries {rule}, not all 0" if isinstance(value, tuple) else rule
+
+    def check(self, name: str, annotation: str, value) -> None:
+        """Raise InvalidConfig naming `name` unless value has the annotated
+        type, is finite (a string or None has nothing to be) and keeps the
+        rule, checked in that order so that NaN never meets a comparison."""
+        if not _has_type(annotation, value):
+            rule = f"of type {annotation}"
+        elif not (value is None or isinstance(value, str) or _finite(value)):
+            rule = "finite, with a finite sum" if isinstance(value, tuple) else "finite"
+        elif not self.admits(value):
+            rule = self.describe(value)
+        else:
+            return
+        raise InvalidConfig(f"{name} must be {rule}, got {value!r}")
+
+
+def _field(default, **rule):
+    """A ConfigProfile field: its default, and the Rule that its value keeps."""
+    return dataclasses.field(default=default, metadata={"rule": Rule(**rule)})
+
+
 @dataclass(frozen=True)
 class ConfigProfile:
     """All weights, thresholds, and numerical conventions of the metric suite.
 
     Defaults: uniform weights within each group, cumulant threshold 0.1 on
     standardized data, Rips scale capped at the dataset diameter (``None``),
-    16 entropy bins per column, 75 fidelity bins.
+    16 entropy bins per column, 75 fidelity bins. Each field declares its
+    Rule beside its default, and validate_config checks it.
     """
 
     # composite weights
-    lambda_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
-    alpha_weights: tuple[float, ...] = (0.2, 0.2, 0.2, 0.0, 0.2, 0.2)
-    beta_weights: tuple[float, ...] = (1 / 6,) * 6
-    gamma_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    w_topology: tuple[float, ...] = (0.5, 0.5)
+    lambda_weights: tuple[float, float, float, float] = _field((0.25, 0.25, 0.25, 0.25), lo=0, size=4)
+    alpha_weights: tuple[float, ...] = _field((0.2, 0.2, 0.2, 0.0, 0.2, 0.2), lo=0, size=6)
+    beta_weights: tuple[float, ...] = _field((1 / 6,) * 6, lo=0, size=6)
+    gamma_weights: tuple[float, float, float] = _field((1 / 3, 1 / 3, 1 / 3), lo=0, size=3)
+    w_topology: tuple[float, ...] = _field((0.5, 0.5), lo=0)
 
     # thresholds
-    epsilon_cumulant: float = 0.1
-    epsilon_grad: float = 1e-4
-    lambda_penalty: float = 1.0
-    delta_topo: float = 1.0
+    epsilon_cumulant: float = _field(0.1, gt=0)
+    epsilon_grad: float = _field(1e-4, gt=0)
+    lambda_penalty: float = _field(1.0, lo=0)
+    delta_topo: float = _field(1.0, lo=0)
 
     # kernel settings
-    kernel_kind: str = "rbf"
-    kernel_bandwidth: float = 1.0
-    kernel_ridge: float = 1e-3
+    kernel_kind: str = _field("rbf", choices=("linear", "rbf"))
+    kernel_bandwidth: float = _field(1.0, gt=0)
+    kernel_ridge: float = _field(1e-3, lo=0)
 
     # topology settings
-    rips_max_scale: float | None = None  # None -> dataset diameter
-    max_homology_dim: int = 1
-    rips_point_cap: int = DEFAULT_POINT_CAP
-    euler_scale_fraction: float = 0.5
+    rips_max_scale: float | None = _field(None, lo=0)  # None -> dataset diameter
+    max_homology_dim: int = _field(1, lo=0, hi=2)
+    rips_point_cap: int = _field(DEFAULT_POINT_CAP, lo=1)
+    euler_scale_fraction: float = _field(0.5, lo=0.0, hi=1.0)
 
     # discretization
-    bins_entropy: int = 16
-    bins_fidelity: int = 75
+    bins_entropy: int = _field(16, lo=1)
+    bins_fidelity: int = _field(75, lo=1, hi=MAX_FIDELITY_BINS)
 
     # expressibility sampling inside profiling runs
-    expressibility_samples: int = 1000
+    expressibility_samples: int = _field(1000, lo=100, hi=MAX_EXPRESSIBILITY_SAMPLES)
 
-    # circuit resource heuristic coefficients
-    resource_q0: float = 2.0
-    resource_q1: float = 8.0
-    resource_d0: float = 1.0
-    resource_d1: float = 2.0
+    # circuit resource heuristic coefficients; each >= 0, so that the
+    # estimate grows with C
+    resource_q0: float = _field(2.0, lo=0)
+    resource_q1: float = _field(8.0, lo=0)
+    resource_d0: float = _field(1.0, lo=0)
+    resource_d1: float = _field(2.0, lo=0)
 
-    seed: int = 0
+    seed: int = _field(0, lo=0)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -243,88 +331,15 @@ class ConfigProfile:
         return fnv1a64(self.canonical_json().encode("utf-8"))
 
 
-# every scalar float field (rips_max_scale may also be None); NaN and +-inf
-# pass the range checks below unnoticed, since comparisons with NaN are False
-FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(ConfigProfile) if f.type in ("float", "float | None"))
-
-
-def _has_type(annotation: str, value) -> bool:
-    """Whether `value` fits a field annotation of ConfigProfile. An int field
-    takes integers, a float field any real number; neither takes a bool,
-    which Python counts as an int but JSON keeps apart."""
-    if annotation.endswith(" | None"):
-        return value is None or _has_type(annotation.removesuffix(" | None"), value)
-    if annotation.startswith("tuple["):
-        item = annotation.removeprefix("tuple[").split(",")[0].rstrip("]")
-        return isinstance(value, tuple) and all(_has_type(item, v) for v in value)
-    if annotation == "str":
-        return isinstance(value, str)
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, numbers.Integral if annotation == "int" else numbers.Real)
-
-
-def _finite(value) -> bool:
-    """math.isfinite, and False for an integer too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-# Checked before any allocation: the fidelity histogram holds one count per
-# bin, and the expressibility sampler runs two states per sample.
-MAX_FIDELITY_BINS = 1 << 16
-MAX_EXPRESSIBILITY_SAMPLES = 1 << 16
-
-WEIGHT_GROUPS = ("lambda_weights", "alpha_weights", "beta_weights", "gamma_weights", "w_topology")
-
-GROUP_SIZES = {
-    "lambda_weights": 4,
-    "alpha_weights": 6,
-    "beta_weights": 6,
-    "gamma_weights": 3,
-}
-
-
 def validate_config(cfg: ConfigProfile) -> ConfigProfile:
     """Validate a config and return it unchanged.
 
-    Raises :class:`InvalidConfig` on a value whose type does not fit its
-    field's annotation, non-finite or negative weights, a weight group whose
-    sum is zero or not finite, a non-finite float field, non-positive
-    thresholds, negative resource coefficients or a resource estimate that
-    is not finite at C = 1, bin or sample counts out of range, a negative
-    seed, or an unsupported homology dimension.
+    Raises :class:`InvalidConfig` naming the field whose value breaks its
+    Rule (type, finite, then the declared bounds), or the resource
+    coefficients when the resource estimate is not finite at C = 1.
     """
     for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if not _has_type(f.type, value):
-            raise InvalidConfig(f"{f.name} must be of type {f.type}, got {value!r}")
-    for group in WEIGHT_GROUPS:
-        weights = getattr(cfg, group)
-        expected = GROUP_SIZES.get(group)
-        if expected is not None and len(weights) != expected:
-            raise InvalidConfig(f"{group} must have {expected} entries, got {len(weights)}")
-        if not all(_finite(w) for w in weights):
-            raise InvalidConfig(f"non-finite weight in {group}: {weights}")
-        if any(w < 0 for w in weights):
-            raise InvalidConfig(f"negative weight in {group}: {weights}")
-        if sum(weights) == 0:
-            raise InvalidConfig(f"all-zero weight group {group}")
-        if not _finite(sum(weights)):  # a composite or bound would read inf
-            raise InvalidConfig(f"the weights of {group} must have a finite sum: {weights}")
-
-    for name in FLOAT_FIELDS:
-        value = getattr(cfg, name)
-        if value is not None and not _finite(value):
-            raise InvalidConfig(f"{name} must be finite, got {value}")
-    for name in ("epsilon_cumulant", "epsilon_grad", "kernel_bandwidth"):
-        if getattr(cfg, name) <= 0:
-            raise InvalidConfig(f"{name} must be > 0")
-    for name in ("lambda_penalty", "delta_topo", "kernel_ridge", "resource_q0", "resource_q1", "resource_d0", "resource_d1"):
-        if getattr(cfg, name) < 0:
-            raise InvalidConfig(f"{name} must be >= 0")
+        f.metadata["rule"].check(f.name, f.type, getattr(cfg, f.name))
     # The resource estimate is monotone in C, so it is finite on [0, 1] when it is at C = 1.
     if not _finite(cfg.resource_q0 + cfg.resource_q1):
         raise InvalidConfig("resource_q0 + resource_q1 (the qubit estimate at C = 1) must be finite")
@@ -332,22 +347,6 @@ def validate_config(cfg: ConfigProfile) -> ConfigProfile:
         depth = cfg.resource_d0 * np.exp(cfg.resource_d1)
     if not np.isfinite(depth):
         raise InvalidConfig("resource_d0 * exp(resource_d1) (the depth estimate at C = 1) must be finite")
-    if cfg.kernel_kind not in ("linear", "rbf"):
-        raise InvalidConfig(f"unknown kernel kind {cfg.kernel_kind!r}")
-    if cfg.max_homology_dim not in (0, 1, 2):
-        raise InvalidConfig("max_homology_dim must be 0, 1 or 2")
-    if cfg.rips_max_scale is not None and cfg.rips_max_scale < 0:
-        raise InvalidConfig("rips_max_scale must be >= 0")
-    if cfg.bins_entropy < 1 or not 1 <= cfg.bins_fidelity <= MAX_FIDELITY_BINS:
-        raise InvalidConfig(f"bin counts must be >= 1, and bins_fidelity <= {MAX_FIDELITY_BINS}")
-    if not 0.0 <= cfg.euler_scale_fraction <= 1.0:
-        raise InvalidConfig("euler_scale_fraction must lie in [0, 1]")
-    if cfg.rips_point_cap < 1:
-        raise InvalidConfig("rips_point_cap must be >= 1")
-    if not 100 <= cfg.expressibility_samples <= MAX_EXPRESSIBILITY_SAMPLES:
-        raise InvalidConfig(f"expressibility_samples must lie in 100..{MAX_EXPRESSIBILITY_SAMPLES}")
-    if cfg.seed < 0:
-        raise InvalidConfig("seed must be >= 0")
     return cfg
 
 

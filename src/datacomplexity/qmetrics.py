@@ -463,6 +463,8 @@ def gradient_variance_study(
         raise InvalidConfig("need at least one qubit count")
     if any(n < 1 or n > MAX_QUBITS for n in n_range):
         raise InvalidConfig(f"qubit counts must lie in 1..{MAX_QUBITS}")
+    if len(set(n_range)) < len(n_range):  # the fitted slope would divide 0 by 0
+        raise InvalidConfig(f"qubit counts must be distinct, got {n_range}")
     if depth < 1:
         raise InvalidConfig("depth must be >= 1")
     if n_samples < 200:

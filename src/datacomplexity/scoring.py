@@ -379,8 +379,8 @@ def trainability_prediction(
     delta: float = 0.0,
 ) -> float:
     """Predicted gradient variance exp(-alpha n d (C + delta C_topo))."""
-    if min(n_qubits, depth) < 0 or min(c_norm, alpha, c_topo_q, delta) < 0:
-        raise InvalidConfig("all model inputs must be >= 0")
+    if not all(0 <= x < math.inf for x in (n_qubits, depth, c_norm, alpha, c_topo_q, delta)):
+        raise InvalidConfig("all model inputs must be finite and >= 0")
     return math.exp(-alpha * n_qubits * depth * (c_norm + delta * c_topo_q))
 
 
@@ -389,18 +389,18 @@ def fit_alpha(study: GradientStudy, depth: int, c_norm: float) -> float:
     divided by -depth * c_norm."""
     if len(study.n_range) < 3:
         raise FitError("need at least 3 study points")
-    if any(v <= 0 for v in study.variances):
-        raise FitError("variances must be > 0 to fit the log-linear model")
-    if depth <= 0 or c_norm <= 0:
-        raise FitError("depth and c_norm must be > 0")
+    if not all(0 < v < math.inf for v in study.variances):
+        raise FitError("variances must be finite and > 0 to fit the log-linear model")
+    if not (0 < depth < math.inf and 0 < c_norm < math.inf):
+        raise FitError("depth and c_norm must be finite and > 0")
     slope = least_squares_slope(study.n_range, np.log(study.variances))
     return -slope / (depth * c_norm)
 
 
 def trainability_condition(predicted_var: float, epsilon_grad: float) -> bool:
     """Trainable iff the predicted variance stays at or above the noise floor."""
-    if predicted_var < 0 or epsilon_grad < 0:
-        raise InvalidConfig("inputs must be >= 0")
+    if not (0 <= predicted_var < math.inf and 0 <= epsilon_grad < math.inf):
+        raise InvalidConfig("inputs must be finite and >= 0")
     return predicted_var >= epsilon_grad
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SeededRng, _finite, _has_type
+from .config import Rule, SeededRng
 from .dataset import Dataset
 from .errors import InvalidConfig
 
@@ -84,9 +84,7 @@ class SyntheticSpec:
             kind = keywords.get(key)
             if kind is None:
                 raise InvalidConfig(f"{self.generator} has no parameter {key!r}; options: {tuple(keywords)}")
-            rule = "an int >= 1" if kind == "int" else "a finite float"
-            if not (_has_type(kind, value) and _finite(value)) or (kind == "int" and value < 1):
-                raise InvalidConfig(f"{self.generator} parameter {key} must be {rule}, got {value!r}")
+            Rule(lo=1 if kind == "int" else None).check(f"{self.generator} parameter {key}", kind, value)
 
 
 def generate(spec: SyntheticSpec) -> Dataset:

@@ -607,6 +607,13 @@ def test_gradient_study_validation():
         gradient_variance_study([2, 3], 0, 200, "global", SeededRng(0))
 
 
+@pytest.mark.parametrize("n_range", [[3, 3], [2, 3, 2]], ids=["3-3", "2-3-2"])
+def test_gradient_study_rejects_repeated_qubit_counts(n_range):
+    """One count given twice: [3, 3] would fit its slope as 0 / 0."""
+    with pytest.raises(InvalidConfig, match="qubit counts must be distinct"):
+        gradient_variance_study(n_range, 2, 200, "global", SeededRng(0))
+
+
 def test_gradient_study_accepts_max_qubits():
     study = gradient_variance_study((MAX_QUBITS,), 1, 200, "global", SeededRng(0))
     assert study.n_range == (MAX_QUBITS,)

@@ -44,8 +44,14 @@ def test_barren_study_writes_the_verbs_report_and_csv(tmp_path, monkeypatch, cap
         (["--samples", "100"], 4, "invalid configuration: n_samples must be >= 200"),
         (["--n-min", "2", "--n-max", "3", "--samples", "200"], 1, "error: need at least 3 study points"),
         ([*STUDY, "--seed", "2", "--cost", "local", "--depth", "1"], 1, "error: fitted alpha -0.0173 < 0"),
+        ([*STUDY, "--c-norm", "-1"], 1, "error: depth and c_norm must be finite and > 0"),
+        ([*STUDY, "--c-norm", "nan"], 1, "error: depth and c_norm must be finite and > 0"),
+        ([*STUDY, "--c-norm", "inf"], 1, "error: depth and c_norm must be finite and > 0"),
+        ([*STUDY, "--epsilon-grad", "-1"], 4, "invalid configuration: inputs must be finite and >= 0"),
+        ([*STUDY, "--epsilon-grad", "nan"], 4, "invalid configuration: inputs must be finite and >= 0"),
     ],
-    ids=["verb_validation", "fit_error", "growing_variance"],
+    ids=["verb_validation", "fit_error", "growing_variance", "c_norm_negative", "c_norm_nan", "c_norm_inf",
+         "epsilon_grad_negative", "epsilon_grad_nan"],
 )
 def test_barren_study_failures_exit_with_code_and_message(argv, code, message, monkeypatch, capsys):
     got, _, err = run_script("run_barren_study", argv, monkeypatch, capsys)
