@@ -309,6 +309,10 @@ def kernel_gram(ds: Dataset, kind: str = "rbf", bandwidth: float = 1.0) -> np.nd
     """N x N kernel Gram matrix; 'linear' is X X^T, 'rbf' is the Gaussian kernel.
 
     The rbf kernel exp(-||x - y||^2 / (2 bandwidth^2)) has unit diagonal.
+    Its exponent is 0 where two rows are equal and reads -inf where the
+    quotient overflows, so a bandwidth whose square underflows gives the
+    limit kernel, 1 on equal rows and 0 elsewhere; a square that overflows
+    reads inf and gives the all-ones kernel.
     """
     x = ds.matrix
     if kind == "linear":
@@ -316,7 +320,10 @@ def kernel_gram(ds: Dataset, kind: str = "rbf", bandwidth: float = 1.0) -> np.nd
     elif kind == "rbf":
         if bandwidth <= 0:
             raise InvalidConfig("rbf bandwidth must be > 0")
-        gram = np.exp(-squared_distances(x) / (2.0 * bandwidth**2))
+        d2 = squared_distances(x)
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(d2, 2.0 * np.float64(bandwidth) ** 2, out=d2, where=d2 > 0.0)
+        gram = np.exp(-d2)
         np.fill_diagonal(gram, 1.0)
     else:
         raise InvalidConfig(f"unknown kernel kind {kind!r}")

@@ -56,30 +56,45 @@ MAX_STUDY_ROTATIONS = 1 << 22
 @dataclass(frozen=True, eq=False)
 class QuantumEnsemble:
     """N pure states of n qubits with uniform weights, held as one read-only
-    (N, 2^n) complex array: row i is the amplitude vector of state i. A
-    complex array passed in is taken over, not copied, and made read-only."""
+    array: (N, 2^n) complex amplitudes, row i the amplitude vector of state
+    i, or, for product states, (n, 2, N) complex per-qubit factors given as
+    `factors`, [q, :, i] qubit q of state i. Exactly one of the two is held;
+    a complex array passed in is taken over, not copied, and made read-only."""
 
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray | None = None
+    factors: np.ndarray | None = None
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 2 or amps.shape[0] == 0:
-            raise EnsembleError("ensemble must be a non-empty (N, 2^n) amplitude array")
-        n = amps.shape[1].bit_length() - 1
-        if amps.shape[1] != 2**n or not 1 <= n <= MAX_QUBITS:
-            raise EnsembleError(f"rows must hold 2^n amplitudes with n in 1..{MAX_QUBITS}")
-        flat = amps.view(np.float64)
-        _require_unit_norms(np.einsum("ij,ij->i", flat, flat))
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        if (self.amplitudes is None) == (self.factors is None):
+            raise EnsembleError("an ensemble holds either amplitudes or per-qubit factors")
+        if self.factors is not None:
+            states = np.ascontiguousarray(self.factors, dtype=complex)
+            if states.ndim != 3 or states.shape[1] != 2 or states.shape[2] == 0 or not 1 <= states.shape[0] <= MAX_QUBITS:
+                raise EnsembleError(f"factors must be a non-empty (n, 2, N) array with n in 1..{MAX_QUBITS}")
+            _require_unit_norms((np.abs(states) ** 2).sum(axis=1).ravel())
+            name = "factors"
+        else:
+            states = np.ascontiguousarray(self.amplitudes, dtype=complex)
+            if states.ndim != 2 or states.shape[0] == 0:
+                raise EnsembleError("ensemble must be a non-empty (N, 2^n) amplitude array")
+            n = states.shape[1].bit_length() - 1
+            if states.shape[1] != 2**n or not 1 <= n <= MAX_QUBITS:
+                raise EnsembleError(f"rows must hold 2^n amplitudes with n in 1..{MAX_QUBITS}")
+            flat = states.view(np.float64)
+            _require_unit_norms(np.einsum("ij,ij->i", flat, flat))
+            name = "amplitudes"
+        states.setflags(write=False)
+        object.__setattr__(self, name, states)
 
     @property
     def n_qubits(self) -> int:
+        if self.factors is not None:
+            return self.factors.shape[0]
         return self.amplitudes.shape[1].bit_length() - 1
 
     @property
     def size(self) -> int:
-        return self.amplitudes.shape[0]
+        return self.factors.shape[2] if self.factors is not None else self.amplitudes.shape[0]
 
 
 def uniform_ensemble(states) -> QuantumEnsemble:
@@ -307,12 +322,22 @@ def _statevector_pair_fidelities(n: int, layout, axes: np.ndarray, angles: np.nd
     return run_batch(n, layout, axes, angles, read, group=2)
 
 
+def product_fidelities(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """|<phi|theta>|^2 of product states given by (n, 2, ...) per-qubit
+    factors that broadcast together: the product over qubits, taken in
+    qubit order, of |<phi_q|theta_q>|^2. One qubit at a time, so no array
+    wider than one qubit's overlaps is formed."""
+    fidelity = 1.0
+    for (l0, l1), (r0, r1) in zip(left, right):
+        fidelity = fidelity * np.abs(l0.conj() * r0 + l1.conj() * r1) ** 2
+    return fidelity
+
+
 def _product_pair_fidelities(n: int, layout, axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """|<psi_2i|psi_2i+1>|^2 of every column pair of a layout without CNOT/CZ:
-    the product over qubits of the per-qubit overlaps |<phi_q|theta_q>|^2."""
+    """|<psi_2i|psi_2i+1>|^2 of every column pair of a layout without CNOT/CZ,
+    from the per-qubit factors (product_fidelities)."""
     factors = run_product_batch(n, layout, axes, angles)
-    overlaps = np.einsum("qij,qij->qj", factors[:, :, 0::2].conj(), factors[:, :, 1::2])
-    return np.prod(np.abs(overlaps) ** 2, axis=0)
+    return product_fidelities(factors[:, :, 0::2], factors[:, :, 1::2])
 
 
 def sample_fidelities(c: ParameterizedCircuit, n_samples: int, rng: SeededRng) -> np.ndarray:
@@ -416,6 +441,14 @@ def collective_z_qfis(amps: np.ndarray) -> np.ndarray:
     mean = (probs * jz).sum(axis=1)
     second = (probs * jz**2).sum(axis=1)
     return 4.0 * np.maximum(second - mean**2, 0.0)
+
+
+def product_z_qfis(factors: np.ndarray) -> np.ndarray:
+    """collective_z_qfis of the product states of (n, 2, N) per-qubit
+    factors: the qubits are independent, so 4 Var(J_z) = sum_q (1 - <Z_q>^2)
+    with <Z_q> = |f0|^2 - |f1|^2, no 2^n array formed."""
+    z = np.abs(factors[:, 0]) ** 2 - np.abs(factors[:, 1]) ** 2
+    return np.maximum((1.0 - z**2).sum(axis=0), 0.0)
 
 
 def collective_z_qfi(state: StateVector) -> float:
@@ -545,12 +578,16 @@ def circuit_error_rate(epsilon_gate: float, depth: int, gates_per_layer: float) 
 def ensemble_gram(e: QuantumEnsemble) -> np.ndarray:
     """Pairwise fidelity Gram matrix K[i][j] = |<psi_i|psi_j>|^2.
 
-    One product |A A^H|^2 over the (N, 2^n) amplitudes; the upper
-    triangle is mirrored and the diagonal pinned to 1 so the matrix, and
-    every distance matrix derived from it, is exactly symmetric.
+    One product |A A^H|^2 over (N, 2^n) amplitudes; for per-qubit factors,
+    product_fidelities of every pair, one (N, N) qubit term at a time. The
+    upper triangle is mirrored and the diagonal pinned to 1 so the matrix,
+    and every distance matrix derived from it, is exactly symmetric.
     """
-    amps = e.amplitudes
-    upper = np.triu(np.abs(amps.conj() @ amps.T) ** 2, k=1)
+    if e.factors is None:
+        fidelity = np.abs(e.amplitudes.conj() @ e.amplitudes.T) ** 2
+    else:
+        fidelity = product_fidelities(e.factors[:, :, :, None], e.factors[:, :, None, :])
+    upper = np.triu(fidelity, k=1)
     gram = upper + upper.T
     np.fill_diagonal(gram, 1.0)
     return gram

@@ -272,7 +272,7 @@ def profile_quantum(
     or M5, and each composite it leaves incomplete, become
     "error:<name>=..." flags of a partial report. The default register is
     the smallest that holds a row, capped at MAX_QUBITS; FeatureMap checks
-    1..MAX_QUBITS and encode_rows is the one check that a row fits.
+    1..MAX_QUBITS and the encoders make the one check that a row fits.
     """
     if n_qubits is None:
         n_qubits = min(required_qubits(fm_kind, ds.n_features), MAX_QUBITS)

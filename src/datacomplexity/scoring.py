@@ -6,14 +6,18 @@ Var = exp(-alpha * n * d * (C + delta * C_topo)) plus its inverse fit.
 
 Every composite is a weighted read of named entries of one MetricVector.
 The quantum pipeline makes one pass: embed_dataset encodes the rows into one
-(N, 2^n) amplitude array (a QuantumEnsemble), and quantum_metrics builds the
-fidelity Gram, the fidelity distances and the Rips persistence once each and
-fills the entries that both the quantum and the induced composite read.
-Per-state entropies, Schmidt ranks and QFIs are batched reads of that
-array, and no density matrix is formed: the half split is one SVD for all
-states (qmetrics.schmidt_spectra), each single-qubit entropy comes from the
-2x2 reduced state in closed form (qmetrics.single_qubit_entropies), and the
-TEE is exactly 0, since the states are pure and the tripartition covers the
+array (a QuantumEnsemble), the (n, 2, N) per-qubit factors of an angle or
+basis map or the (N, 2^n) amplitudes of an amplitude map, and
+quantum_metrics builds the fidelity Gram, the fidelity distances and the
+Rips persistence once each and fills the entries that both the quantum and
+the induced composite read. Product states have no entanglement, so their
+half-split entropy and multipartite correlation are exactly 0 and their
+Schmidt rank exactly 1, and their QFIs are per-qubit sums. On amplitudes,
+per-state entropies, Schmidt ranks and QFIs are batched reads of the array,
+and no density matrix is formed: the half split is one SVD for all states
+(qmetrics.schmidt_spectra), and each single-qubit entropy comes from the 2x2
+reduced state in closed form (qmetrics.single_qubit_entropies). The TEE is
+exactly 0, since the states are pure and the tripartition covers the
 register.
 
 Normalization is min-max against pinned theoretical bounds (entropy vs
@@ -57,11 +61,12 @@ from .qmetrics import (
     expressibility_kl,
     fidelity_distances,
     least_squares_slope,
+    product_z_qfis,
     reduced_entropies,
     schmidt_spectra,
     single_qubit_entropies,
 )
-from .simulator import FeatureMap, encode_rows, encoding_circuit
+from .simulator import FeatureMap, encode_factors, encode_rows, encoding_circuit
 from .topology import (
     DistanceMatrix,
     PersistenceDiagram,
@@ -223,17 +228,10 @@ def _half_split(n: int) -> list[int]:
 
 
 def mean_bipartite_entropy(e: QuantumEnsemble) -> float:
-    """Mean half/half entanglement entropy (bits)."""
-    if e.n_qubits < 2:
+    """Mean half/half entanglement entropy (bits); exactly 0 for product states."""
+    if e.n_qubits < 2 or e.factors is not None:
         return 0.0
     return float(np.mean(reduced_entropies(e.amplitudes, _half_split(e.n_qubits))))
-
-
-def mean_multipartite_correlation(e: QuantumEnsemble) -> float:
-    """Mean of sum_j S(rho_j) - S(rho_full); the full-state entropy vanishes
-    for the pure states produced by the simulator. Each S(rho_j) is the
-    entropy of a 2x2 reduced state (qmetrics.single_qubit_entropies)."""
-    return float(np.mean(single_qubit_entropies(e.amplitudes).sum(axis=1)))
 
 
 def default_tripartition(n: int) -> tuple[list[int], list[int], list[int]]:
@@ -270,11 +268,14 @@ def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, mv: MetricVector | N
     the quantum and induced composites read, except M5.
 
     The fidelity Gram, its Rips persistence, the bipartite entropy and the
-    per-state QFIs are computed once and shared by both composites; one SVD
-    of the half split gives both the entropy and the Schmidt rank. The
-    multipartite correlation sums single-qubit entropies of 2x2 reduced
-    states. Each entry is normalized against its pinned bound. M5 needs the
-    encoding circuit rather than the ensemble; see expressibility_locality.
+    per-state QFIs are computed once and shared by both composites. On
+    per-qubit factors, the entropy and the multipartite correlation are
+    exactly 0, the Schmidt rank exactly 1, and the QFIs product_z_qfis. On
+    amplitudes, one SVD of the half split gives both the entropy and the
+    Schmidt rank, and the multipartite correlation sums single-qubit
+    entropies of 2x2 reduced states. Each entry is normalized against its
+    pinned bound. M5 needs the encoding circuit rather than the ensemble;
+    see expressibility_locality.
     The TEE term of the quantum topological complexity is exactly 0: the
     states are pure and default_tripartition covers the register, so
     S_AB = S_C, S_BC = S_A, S_AC = S_B and S_ABC = 0. The Euler
@@ -302,15 +303,22 @@ def quantum_metrics(e: QuantumEnsemble, cfg: ConfigProfile, mv: MetricVector | N
         mv.add("quantum_topological_complexity", g2 * euler + g3 * pers, (0.0, bound), m6)
 
     mv.attempt("quantum_topology", record_topology)
-    qfis = collective_z_qfis(e.amplitudes)
-
-    entropy = 0.0
+    if e.factors is not None:
+        # product states: no entanglement, one Schmidt coefficient per split
+        qfis, entropy, schmidt_rank, multipartite = product_z_qfis(e.factors), 0.0, 1.0, 0.0
+    else:
+        qfis = collective_z_qfis(e.amplitudes)
+        entropy = schmidt_rank = 0.0
+        if n >= 2:
+            spectra = schmidt_spectra(e.amplitudes, _half_split(n))
+            entropy = float(np.mean(entropy_bits(spectra**2)))
+            schmidt_rank = float(np.mean(np.sum(spectra > SCHMIDT_TOL, axis=1)))
+        # sum_j S(rho_j) - S(rho_full), and the full pure state has S = 0
+        multipartite = float(np.mean(single_qubit_entropies(e.amplitudes).sum(axis=1)))
     if n >= 2:
-        spectra = schmidt_spectra(e.amplitudes, _half_split(n))
-        entropy = float(np.mean(entropy_bits(spectra**2)))
-        mv.add("mean_schmidt_rank", float(np.mean(np.sum(spectra > SCHMIDT_TOL, axis=1))), (0.0, float(2 ** (n // 2))))
+        mv.add("mean_schmidt_rank", schmidt_rank, (0.0, float(2 ** (n // 2))))
     mv.add("mean_entanglement_entropy", entropy, (0.0, max(1, n // 2)))
-    mv.add("multipartite_correlation", mean_multipartite_correlation(e), (0.0, float(n)))
+    mv.add("multipartite_correlation", multipartite, (0.0, float(n)))
     mv.add("ensemble_rank_eff", rank, (0.0, float(size)))
     mv.add("magic_monotone", 0.0, (0.0, 1.0))
     mv.add("mean_qfi", float(np.mean(qfis)), (0.0, float(n**2)))
@@ -335,16 +343,20 @@ def quantum_complexity(mv: MetricVector, alpha_weights) -> CompositeScore:
 
 
 def embed_dataset(ds: Dataset, fm: FeatureMap) -> QuantumEnsemble:
-    """Encode every row in one batched pass into the uniform ensemble. An
-    angle map divides each column by its largest magnitude, which keeps any
-    finite span finite, then min-max scales it to [0, 1] over these rows (a
-    constant column reads 0); encode_rows scales amplitude rows by 2^-k."""
+    """Encode every row in one batched pass into the uniform ensemble: the
+    per-qubit factors of an angle or basis map (encode_factors), the
+    amplitudes of an amplitude map (encode_rows). An angle map divides each
+    column by its largest magnitude, which keeps any finite span finite,
+    then min-max scales it to [0, 1] over these rows (a constant column
+    reads 0); encode_rows scales amplitude rows by 2^-k."""
     x = ds.matrix
+    if fm.kind == "amplitude":
+        return QuantumEnsemble(encode_rows(fm, x))
     if fm.kind == "angle":
         x = scale_by_max_magnitude(x)
         lo, hi = x.min(axis=0), x.max(axis=0)
         x = (x - lo) / np.where(hi > lo, hi - lo, 1.0)
-    return QuantumEnsemble(encode_rows(fm, x))
+    return QuantumEnsemble(factors=encode_factors(fm, x))
 
 
 def expressibility_locality(fm: FeatureMap, n_features: int, cfg: ConfigProfile) -> float:

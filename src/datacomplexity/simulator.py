@@ -39,12 +39,12 @@ formed. run_batch does the same for the leading gates of any layout
 the block from the product of those factors, bit-equal to running the gates
 on the block.
 
-Feature maps encode a whole data matrix at once (encode_rows) into an
-(N, 2^n) array, one state per row; angle rows are product states built from
-per-qubit [cos, sin] factors, and encode is a one-row call. bipartition
-reshapes amplitudes into (kept qubits) x (other qubits) matrices; it holds
-the pinned qubit order for partial_trace, partial_trace_density and the
-batched Schmidt spectra in qmetrics.
+Feature maps encode a whole data matrix at once, one state per row: angle
+and basis rows into (n, 2, N) per-qubit factors (encode_factors), any map
+into an (N, 2^n) array (encode_rows), of which encode is a one-row call.
+bipartition reshapes amplitudes into (kept qubits) x (other qubits)
+matrices; it holds the pinned qubit order for partial_trace,
+partial_trace_density and the batched Schmidt spectra in qmetrics.
 """
 
 from __future__ import annotations
@@ -522,6 +522,37 @@ def encoding_circuit(fm: FeatureMap, n_features: int) -> ParameterizedCircuit:
     return ParameterizedCircuit(n_qubits=fm.n_qubits, gates=gates, n_params=n_features)
 
 
+def _fitted_rows(fm: FeatureMap, matrix) -> np.ndarray:
+    """The (N, d) matrix as float64, once its rows fit the register."""
+    x = np.asarray(matrix, dtype=np.float64)
+    need = required_qubits(fm.kind, x.shape[1])
+    if need > fm.n_qubits:
+        raise CapacityError(f"{fm.kind} encoding of {x.shape[1]} features requires {need} qubits, the register has {fm.n_qubits}")
+    return x
+
+
+def encode_factors(fm: FeatureMap, matrix) -> np.ndarray:
+    """Map every row of an (N, d) matrix to the product state an angle or a
+    basis map makes of it: the (n, 2, N) per-qubit factors, [q, :, i] qubit
+    q of row i, and qubits d..n-1 stay [1, 0].
+
+    Angle rows run encoding_circuit through run_product_batch, one column
+    per row; a basis factor is [0, 1] where the feature is > 0, else [1, 0].
+    """
+    x = _fitted_rows(fm, matrix)
+    if fm.kind == "angle":
+        circuit = encoding_circuit(fm, x.shape[1])
+        angles = circuit.rotation_angles(math.pi * np.clip(x, 0.0, 1.0).T)
+        return run_product_batch(fm.n_qubits, circuit.layout, circuit.axes[:, None], angles)
+    if fm.kind != "basis":
+        raise InvalidConfig(f"a {fm.kind} map does not make product states")
+    factors = np.zeros((fm.n_qubits, 2, x.shape[0]), dtype=complex)
+    factors[:, 0] = 1.0
+    factors[: x.shape[1], 0] = x.T <= 0.0
+    factors[: x.shape[1], 1] = x.T > 0.0
+    return factors
+
+
 def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
     """Map every row of an (N, d) matrix to a state: the (N, 2^n) amplitudes.
 
@@ -530,30 +561,23 @@ def encode_rows(fm: FeatureMap, matrix) -> np.ndarray:
     then by its norm, the square root of its dot product with itself: no
     norm over- or underflows, and an in-range row keeps the bits of
     row / norm(row), since fidelity distances below 1e-8 are rounding noise.
-    Angle rows run encoding_circuit through run_product_batch, one column
-    per row, and _fill_product multiplies the per-qubit factors in qubit
-    order. Beyond that engine's per-qubit check, no norm check is made here;
-    QuantumEnsemble checks the whole array once.
+    Angle and basis rows are the products of their encode_factors, which
+    _fill_product multiplies in qubit order. Beyond the product engine's
+    per-qubit check, no norm check is made here; QuantumEnsemble and
+    StateVector check the states.
     """
-    x = np.asarray(matrix, dtype=np.float64)
-    rows, d = x.shape
-    need = required_qubits(fm.kind, d)
-    if need > fm.n_qubits:
-        raise CapacityError(f"{fm.kind} encoding of {d} features requires {need} qubits, the register has {fm.n_qubits}")
-    amps = np.zeros((rows, 2**fm.n_qubits), dtype=complex)
-    if fm.kind == "amplitude":
-        peak = np.max(np.abs(x), axis=1)
-        if not peak.all():
-            raise ZeroVector(f"row {np.argmin(peak)}: cannot amplitude-encode an all-zero vector")
-        x = np.ldexp(x, -np.frexp(peak)[1][:, None])
-        amps[:, :d] = x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
-    elif fm.kind == "basis":
-        amps[np.arange(rows), (x > 0.0) @ (1 << np.arange(d))] = 1.0
-    else:
-        circuit = encoding_circuit(fm, d)
-        angles = circuit.rotation_angles(math.pi * np.clip(x, 0.0, 1.0).T)
-        factors = run_product_batch(fm.n_qubits, circuit.layout, circuit.axes[:, None], angles)
-        _fill_product(amps.T, factors[:d])  # qubits d..n-1 stay |0>
+    if fm.kind != "amplitude":
+        factors = encode_factors(fm, matrix)
+        amps = np.empty((factors.shape[2], 2**fm.n_qubits), dtype=complex)
+        _fill_product(amps.T, factors)
+        return amps
+    x = _fitted_rows(fm, matrix)
+    peak = np.max(np.abs(x), axis=1)
+    if not peak.all():
+        raise ZeroVector(f"row {np.argmin(peak)}: cannot amplitude-encode an all-zero vector")
+    x = np.ldexp(x, -np.frexp(peak)[1][:, None])
+    amps = np.zeros((x.shape[0], 2**fm.n_qubits), dtype=complex)
+    amps[:, : x.shape[1]] = x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
     return amps
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import zlib
 from itertools import combinations
 
@@ -427,6 +428,25 @@ def test_rbf_large_bandwidth_limit():
     ds = Dataset(rng.normal(size=(10, 2)), ("a", "b"))
     gram = kernel_gram(ds, "rbf", 1e6)
     assert np.all(np.abs(gram - 1.0) < 1e-9)
+
+
+@pytest.mark.parametrize(
+    "bandwidth, expected",
+    [
+        # the square underflows to 0 or to a subnormal: distinct rows read 0
+        (5e-324, [[1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]),
+        (1e-160, [[1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]),
+        # the square overflows: every pair reads 1
+        (1e200, np.ones((4, 4))),
+        (1e308, np.ones((4, 4))),
+    ],
+)
+def test_rbf_extreme_bandwidth_gives_the_limit_kernel(bandwidth, expected):
+    ds = Dataset(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]), ("a", "b"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram = kernel_gram(ds, "rbf", bandwidth)
+    assert np.array_equal(gram, expected)
 
 
 def test_kernel_effective_dimension_identity():

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -157,6 +158,24 @@ def test_profile_parity_interaction_order(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["metrics"]["interaction_order"]["raw"] == 3.0
+
+
+@pytest.mark.parametrize("bandwidth", ["5e-324", "1e-160"])
+def test_tiny_kernel_bandwidth_reads_the_limit_kernel(bandwidth, tmp_path, capsys):
+    """A bandwidth whose square underflows gives the kernel of equal rows, as
+    a small in-range bandwidth does, with no warning."""
+    ranks = {}
+    for value in (bandwidth, "1e-3"):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"kernel_bandwidth": {value}}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["profile", "synth:parity", "--config", str(path)], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert not [flag for flag in report["flags"] if flag.startswith("error:")]
+        ranks[value] = report["metrics"]["kernel_effective_rank"]["raw"]
+    assert ranks[bandwidth] == ranks["1e-3"]
 
 
 SCALAR_FLOAT_FIELDS = [
@@ -872,13 +891,52 @@ def test_barren_identical_on_every_openblas_kernel():
     assert differ == []
 
 
-def test_qfi_entries_identical_on_openblas_sandybridge():
-    """mean_qfi and m2_qfi_spread take their J_z moments without BLAS, so a
-    kernel that rounds matrix products differently leaves them unchanged."""
-    argv = ["qprofile", "synth:gaussian_blob:n=96,d=8", "--map", "angle"]
-    default, other = (json.loads(run_child(s, argv, [0]))["metrics"] for s in ("default", "sandybridge"))
-    for name in ("mean_qfi", "m2_qfi_spread"):
-        assert other[name] == default[name], name
+# The entries of a product-map report that read eigvalsh of the Gram, the one
+# LAPACK call left on that path
+EIGVALSH_ENTRIES = {"ensemble_rank_eff", "m1_support_dimension", "m4_kernel_flatness"}
+
+
+def test_product_map_entries_identical_on_every_openblas_kernel():
+    """An angle or basis report takes its Gram, QFIs and entanglement
+    entries from per-qubit factors, elementwise, with no BLAS call: on every
+    OpenBLAS kernel and thread count, every metric entry but the three that
+    read eigvalsh of the Gram is the same (composites read those three)."""
+    for fm_kind in ("angle", "basis"):
+        argv = ["qprofile", "synth:gaussian_blob:n=96,d=8", "--map", fm_kind, "--format", "csv"]
+        rows = {setting: run_child(setting, argv, [0, 3]).splitlines() for setting in OPENBLAS_SETTINGS}
+        entries = [row.partition(",")[0] for row in rows["default"]]
+        assert entries.count("m3_entanglement_entropy") == 2
+        for setting, lines in rows.items():
+            assert len(lines) == len(entries)
+            differ = {name for name, row, default in zip(entries, lines, rows["default"]) if row != default}
+            assert {name for name in differ if not name.startswith("composite_")} <= EIGVALSH_ENTRIES, (fm_kind, setting, differ)
+
+
+# The child's own peak RSS in KiB. Not ru_maxrss: Linux carries the peak of
+# the spawning process (this test run) into the child's ru_maxrss at exec.
+SCALE_CHILD = """import re, sys
+from datacomplexity.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read())[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_angle_map_at_full_register_stays_small():
+    """256 rows on 14 qubits held as per-qubit factors: the run peaks far
+    below the 256 x 2^14 amplitude array and its half-split SVD (about
+    180 MiB), and the entanglement entries are exact."""
+    argv = ["qprofile", "synth:gaussian_blob:n=256,d=14", "--map", "angle", "--format", "csv"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", SCALE_CHILD, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    for name in ("m3_entanglement_entropy", "mean_entanglement_entropy", "multipartite_correlation"):
+        assert f"{name},0.0,0.0" in rows
+    assert "mean_schmidt_rank,1.0,0.0078125" in rows
+    peak_kib = int(proc.stderr.split()[-1])
+    assert peak_kib < 100 * 1024
 
 
 def test_shipped_schema_matches_module():

@@ -710,6 +710,20 @@ def test_ensemble_validation(bell_state):
         QuantumEnsemble(np.array([[float("nan"), 0.0], [1.0, 0.0]]))
     e = uniform_ensemble([bell_state, bell_state])
     assert e.amplitudes.shape == (2, 4) and not e.amplitudes.flags.writeable
+    # per-qubit factors: exactly one form, (n, 2, N) with n in 1..MAX_QUBITS, unit norms
+    plus = np.full((3, 2, 4), 1 / math.sqrt(2))
+    with pytest.raises(EnsembleError):
+        QuantumEnsemble()
+    with pytest.raises(EnsembleError):
+        QuantumEnsemble(e.amplitudes, factors=plus)
+    for shape in [(3, 2, 0), (0, 2, 4), (3, 3, 4), (3, 2), (15, 2, 4)]:
+        with pytest.raises(EnsembleError):
+            QuantumEnsemble(factors=np.ones(shape))
+    with pytest.raises(InvalidState):
+        QuantumEnsemble(factors=np.ones((3, 2, 4)))
+    product = QuantumEnsemble(factors=plus)
+    assert (product.n_qubits, product.size) == (3, 4) and product.amplitudes is None
+    assert not product.factors.flags.writeable
 
 
 def test_ensemble_gram_and_distances(bell_state, product_plus_state):

@@ -37,9 +37,11 @@ def test_qprofile_report_round_trip_lossless():
 
 def test_qprofile_computes_each_quantity_once(monkeypatch):
     """One profile_quantum pass embeds once, builds one fidelity Gram and
-    runs Rips once; both composites read the shared results. The rows are
-    encoded as one array and no per-state density matrix is formed. The
-    angle map's expressibility runs no statevector and the TEE of the pure
+    runs Rips once; both composites read the shared results. The rows of a
+    product map are held as per-qubit factors: no amplitude array is
+    encoded, and no Schmidt spectrum, single-qubit entropy or statevector
+    QFI is taken of one. No per-state density matrix is formed. The angle
+    map's expressibility runs no statevector and the TEE of the pure
     ensemble is not evaluated."""
     expected = {
         "embed_dataset": 1,
@@ -47,6 +49,10 @@ def test_qprofile_computes_each_quantity_once(monkeypatch):
         "quantum_topology_detail": 1,
         "rips_filtration": 1,
         "encode": 0,
+        "encode_rows": 0,
+        "schmidt_spectra": 0,
+        "single_qubit_entropies": 0,
+        "collective_z_qfis": 0,
         "partial_trace": 0,
         "von_neumann_entropy": 0,
         "run_batch": 0,
@@ -58,6 +64,10 @@ def test_qprofile_computes_each_quantity_once(monkeypatch):
         "quantum_topology_detail": scoring.quantum_topology_detail,
         "rips_filtration": topology.rips_filtration,
         "encode": simulator.encode,
+        "encode_rows": simulator.encode_rows,
+        "schmidt_spectra": qmetrics.schmidt_spectra,
+        "single_qubit_entropies": qmetrics.single_qubit_entropies,
+        "collective_z_qfis": qmetrics.collective_z_qfis,
         "partial_trace": simulator.partial_trace,
         "von_neumann_entropy": qmetrics.von_neumann_entropy,
         "run_batch": simulator.run_batch,
@@ -77,8 +87,10 @@ def test_qprofile_computes_each_quantity_once(monkeypatch):
             for name, fn in counted.items():
                 if value is fn:
                     monkeypatch.setattr(module, attr, counting(name, fn))
-    profile_quantum(small_dataset(), "angle", CFG)
-    assert {name: calls[name] for name in counted} == expected
+    for kind in ("angle", "basis"):
+        calls.clear()
+        profile_quantum(small_dataset(), kind, CFG)
+        assert {name: calls[name] for name in counted} == expected, kind
 
 
 def test_barren_report_round_trip_and_schema():

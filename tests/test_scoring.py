@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import rotation_matrix
+from dense_oracle import product_amplitudes, rotation_matrix
 from datacomplexity.config import ConfigProfile, SeededRng
 from datacomplexity.dataset import Dataset
 from datacomplexity.errors import (
@@ -17,7 +17,10 @@ from datacomplexity.errors import (
 )
 from datacomplexity.qmetrics import (
     GradientStudy,
+    QuantumEnsemble,
+    collective_z_qfis,
     ensemble_gram,
+    product_z_qfis,
     topological_entanglement_entropies,
     uniform_ensemble,
 )
@@ -335,8 +338,9 @@ def test_induced_value_unit_interval():
 def test_embed_dataset_uniform_probabilities():
     ds = one_hot_dataset(3)
     e = embed_dataset(ds, FeatureMap(kind="basis", n_qubits=3))
-    assert e.size == 3
-    assert e.amplitudes.shape == (3, 8)
+    assert e.size == 3 and e.n_qubits == 3
+    assert e.amplitudes is None and e.factors.shape == (3, 2, 3)
+    assert np.array_equal(product_amplitudes(e.factors), np.eye(8)[[1, 2, 4]])
 
 
 def kron_oracle(kind, row, n_qubits, lo, hi):
@@ -371,8 +375,61 @@ def test_embed_dataset_matches_kron_oracle(kind, d, extra):
     e = embed_dataset(Dataset(x, tuple(f"c{j}" for j in range(d))), FeatureMap(kind=kind, n_qubits=n_qubits))
     lo, hi = x.min(axis=0), x.max(axis=0)
     expected = np.stack([kron_oracle(kind, row, n_qubits, lo, hi) for row in x])
-    assert e.amplitudes.shape == (9, 2**n_qubits)
-    assert np.allclose(e.amplitudes, expected, rtol=0, atol=1e-12)
+    # angle and basis rows are held as per-qubit factors, never as amplitudes
+    if kind == "amplitude":
+        assert e.factors is None
+        amps = e.amplitudes
+    else:
+        assert e.amplitudes is None and e.factors.shape == (n_qubits, 2, 9)
+        amps = product_amplitudes(e.factors)
+    assert amps.shape == (9, 2**n_qubits)
+    assert np.allclose(amps, expected, rtol=0, atol=1e-12)
+
+
+# Entries that are exact by construction on product states
+PRODUCT_ZERO_ENTRIES = ("mean_entanglement_entropy", "m3_entanglement_entropy", "multipartite_correlation")
+
+
+def assert_factored_matches_dense(kind, x, n_qubits):
+    """The factored ensemble of an angle or basis map against its statevectors
+    (np.kron of the factors) run through the dense path: the Gram, the QFIs
+    and every entry agree to 1e-12, the dense entanglement entries lie within
+    1e-12 of 0, and the factored ones are exactly 0 (Schmidt rank 1)."""
+    ds = Dataset(x, tuple(f"c{j}" for j in range(x.shape[1])))
+    e = embed_dataset(ds, FeatureMap(kind=kind, n_qubits=n_qubits))
+    dense = QuantumEnsemble(product_amplitudes(e.factors))
+    assert e.amplitudes is None and (e.n_qubits, e.size) == (dense.n_qubits, dense.size)
+    assert np.max(np.abs(ensemble_gram(e) - ensemble_gram(dense))) <= 1e-12
+    assert np.max(np.abs(product_z_qfis(e.factors) - collective_z_qfis(dense.amplitudes))) <= 1e-12
+    factored, full = quantum_metrics(e, CFG).entries, quantum_metrics(dense, CFG).entries
+    assert factored.keys() == full.keys()
+    for name, entry in full.items():
+        assert factored[name].raw == pytest.approx(entry.raw, rel=1e-12, abs=1e-12), name
+        assert factored[name].bounds == entry.bounds, name
+    for name in PRODUCT_ZERO_ENTRIES:
+        assert factored[name].raw == 0.0 and abs(full[name].raw) <= 1e-12, name
+    if n_qubits >= 2:
+        assert factored["mean_schmidt_rank"].raw == 1.0 == full["mean_schmidt_rank"].raw
+
+
+@pytest.mark.parametrize("kind", ["angle", "basis"])
+@pytest.mark.parametrize("d,extra,rows", [(1, 0, 7), (1, 2, 7), (3, 0, 10), (3, 4, 10), (14, 0, 12)])
+def test_factored_ensemble_matches_dense_path(kind, d, extra, rows):
+    x = SeededRng(80 + d + extra).child().normal(size=(rows, d))
+    assert_factored_matches_dense(kind, x, d + extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["angle", "basis"]),
+    d=st.integers(1, 6),
+    extra=st.integers(0, 3),
+    rows=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_ensemble_matches_dense_path_on_random_rows(kind, d, extra, rows, seed):
+    x = SeededRng(seed).child().normal(size=(rows, d))
+    assert_factored_matches_dense(kind, x, d + extra)
 
 
 # ---------------------------------------------------------------------------

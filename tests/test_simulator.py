@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import PAULI_MATRICES, rotation_matrix
+from dense_oracle import PAULI_MATRICES, product_amplitudes, rotation_matrix
 from datacomplexity.config import SeededRng
 from datacomplexity.dataset import Dataset
 from datacomplexity.errors import (
     ArityError,
     CapacityError,
+    InvalidConfig,
     InvalidState,
     InvalidSubset,
     ParseError,
@@ -27,6 +28,7 @@ from datacomplexity.simulator import (
     ParameterizedCircuit,
     StateVector,
     encode,
+    encode_factors,
     encode_rows,
     encoding_circuit,
     expectation,
@@ -506,7 +508,7 @@ def test_angle_encoding_endpoints():
 
 def test_angle_encoding_minmax_fit():
     ds = Dataset(np.array([[10.0], [20.0], [15.0]]), ("x",))
-    amps = embed_dataset(ds, FeatureMap(kind="angle", n_qubits=1)).amplitudes
+    amps = product_amplitudes(embed_dataset(ds, FeatureMap(kind="angle", n_qubits=1)).factors)
     assert amps[0] == pytest.approx([1, 0])
     assert abs(amps[1, 1]) == pytest.approx(1.0, abs=1e-10)
     assert amps[2] == pytest.approx([math.cos(math.pi / 4), math.sin(math.pi / 4)])
@@ -518,6 +520,26 @@ def test_basis_encoding_one_hot():
     expected = np.zeros(8)
     expected[2] = 1.0
     assert state.amplitudes == pytest.approx(expected)
+
+
+def test_basis_factors_are_one_hot_per_qubit():
+    """A basis factor is [0, 1] where the feature is > 0, else [1, 0], and
+    qubits past the features stay [1, 0]; encode_rows writes their product,
+    the one-hot amplitude at sum_q bit_q 2^q."""
+    x = SeededRng(31).child().normal(size=(20, 3))
+    fm = FeatureMap(kind="basis", n_qubits=5)
+    factors = encode_factors(fm, x)
+    bits = (x > 0.0).T
+    assert factors.shape == (5, 2, 20)
+    assert np.array_equal(factors[:3, 1], bits) and np.array_equal(factors[:3, 0], ~bits)
+    assert np.array_equal(factors[3:], np.broadcast_to([[1.0], [0.0]], (2, 2, 20)))
+    expected = np.zeros((20, 32))
+    expected[np.arange(20), bits.T @ (1 << np.arange(3))] = 1.0
+    assert np.array_equal(encode_rows(fm, x), expected)
+    with pytest.raises(CapacityError, match="6 qubits"):
+        encode_factors(fm, np.ones((2, 6)))
+    with pytest.raises(InvalidConfig, match="product states"):
+        encode_factors(FeatureMap(kind="amplitude", n_qubits=2), x)
 
 
 def test_encoding_circuit_matches_encode():
