@@ -26,7 +26,6 @@ from .errors import (
 )
 from .simulator import (
     CHUNK_BYTES,
-    MAX_QUBITS,
     DensityMatrix,
     ParameterizedCircuit,
     StateVector,
@@ -40,6 +39,8 @@ from .simulator import (
     partial_trace_density,
     pauli_expectations,
     popcount_table,
+    qubit_subset,
+    require_qubits,
     run_batch,
     run_product_batch,
 )
@@ -69,8 +70,9 @@ class QuantumEnsemble:
             raise EnsembleError("an ensemble holds either amplitudes or per-qubit factors")
         if self.factors is not None:
             states = np.ascontiguousarray(self.factors, dtype=complex)
-            if states.ndim != 3 or states.shape[1] != 2 or states.shape[2] == 0 or not 1 <= states.shape[0] <= MAX_QUBITS:
-                raise EnsembleError(f"factors must be a non-empty (n, 2, N) array with n in 1..{MAX_QUBITS}")
+            if states.ndim != 3 or states.shape[1] != 2 or states.shape[2] == 0:
+                raise EnsembleError("factors must be a non-empty (n, 2, N) array")
+            require_qubits(states.shape[0])
             _require_unit_norms((np.abs(states) ** 2).sum(axis=1).ravel())
             name = "factors"
         else:
@@ -78,8 +80,9 @@ class QuantumEnsemble:
             if states.ndim != 2 or states.shape[0] == 0:
                 raise EnsembleError("ensemble must be a non-empty (N, 2^n) amplitude array")
             n = states.shape[1].bit_length() - 1
-            if states.shape[1] != 2**n or not 1 <= n <= MAX_QUBITS:
-                raise EnsembleError(f"rows must hold 2^n amplitudes with n in 1..{MAX_QUBITS}")
+            if states.shape[1] != 2**n:
+                raise EnsembleError("rows must hold 2^n amplitudes")
+            require_qubits(n)
             flat = states.view(np.float64)
             _require_unit_norms(np.einsum("ij,ij->i", flat, flat))
             name = "amplitudes"
@@ -120,8 +123,8 @@ class GradientStudy:
     def __post_init__(self):
         if len(self.variances) != len(self.n_range):
             raise InvalidConfig("one variance per qubit count required")
-        if any(v < 0 for v in self.variances):
-            raise InvalidConfig("variances must be >= 0")
+        if not all(0 <= v < math.inf for v in self.variances):
+            raise InvalidConfig("variances must be finite and >= 0")
 
     def to_json_obj(self) -> dict:
         return {
@@ -196,9 +199,10 @@ def single_qubit_entropies(amps: np.ndarray) -> np.ndarray:
 
 def schmidt_rank(state: StateVector, partition) -> int:
     """Singular values above 1e-10 of the amplitude matrix split by `partition`."""
-    if not 0 < len(set(partition)) < state.n_qubits:
+    keep = qubit_subset(partition, state.n_qubits)
+    if len(keep) == state.n_qubits:
         raise InvalidSubset("bipartition needs two non-empty sides")
-    return int(np.sum(schmidt_spectra(state.amplitudes[None], partition) > SCHMIDT_TOL))
+    return int(np.sum(schmidt_spectra(state.amplitudes[None], keep) > SCHMIDT_TOL))
 
 
 def quantum_mutual_information(state, subset_a, subset_b) -> float:
@@ -206,22 +210,16 @@ def quantum_mutual_information(state, subset_a, subset_b) -> float:
 
     Accepts a pure StateVector or a DensityMatrix over the full register.
     """
-    a = sorted(set(int(q) for q in subset_a))
-    b = sorted(set(int(q) for q in subset_b))
-    if not a or not b:
-        raise InvalidSubset("subsets must be non-empty")
-    if set(a) & set(b):
-        raise InvalidSubset(f"subsets overlap: {a} vs {b}")
     if isinstance(state, StateVector):
         reduce = lambda keep: partial_trace(state, keep)
-        n = state.n_qubits
     elif isinstance(state, DensityMatrix):
         reduce = lambda keep: partial_trace_density(state, keep)
-        n = state.n_qubits
     else:
         raise InvalidSubset("expected a StateVector or DensityMatrix")
-    if any(q >= n for q in a + b):
-        raise InvalidSubset("qubit out of range")
+    a = qubit_subset(subset_a, state.n_qubits)
+    b = qubit_subset(subset_b, state.n_qubits)
+    if set(a) & set(b):
+        raise InvalidSubset(f"subsets overlap: {a} vs {b}")
     info = (
         von_neumann_entropy(reduce(a))
         + von_neumann_entropy(reduce(b))
@@ -238,13 +236,11 @@ def connected_correlator(state: StateVector, observables, _cache: dict | None = 
     `observables` is a list of (qubit, pauli) pairs on distinct qubits; every
     lower-order factorization is subtracted, so product states give zero.
     """
-    obs = [(int(q), p.upper()) for q, p in observables]
+    obs = [(q, p.upper()) for q, p in observables]
     qubits = [q for q, _ in obs]
-    if len(set(qubits)) != len(qubits):
+    if len(qubit_subset(qubits, state.n_qubits)) != len(qubits):
         raise InvalidSubset(f"repeated qubit in {qubits}")
     k = len(obs)
-    if k < 1:
-        raise InvalidSubset("need at least one observable")
     if k > CORRELATOR_ORDER_CAP:
         raise OrderTooHigh(f"order {k} above the cap {CORRELATOR_ORDER_CAP}")
     cache = _cache if _cache is not None else {}
@@ -488,14 +484,12 @@ def gradient_variance_study(
     into the axis and angle arrays of layered_layout(n, depth); the first
     parameter is rotation 0, and all parameter-shift states of one n run as
     one batch. The fitted slope is least_squares_slope of ln max(Var, 1e-300)
-    against n, or 0.0 for one qubit count. Qubit counts lie in 1..MAX_QUBITS;
+    against n, or 0.0 for one qubit count. Each qubit count passes require_qubits;
     n * depth * n_samples at most MAX_STUDY_ROTATIONS.
     """
-    n_range = tuple(int(n) for n in n_range)
+    n_range = tuple(require_qubits(n) for n in n_range)
     if not n_range:
         raise InvalidConfig("need at least one qubit count")
-    if any(n < 1 or n > MAX_QUBITS for n in n_range):
-        raise InvalidConfig(f"qubit counts must lie in 1..{MAX_QUBITS}")
     if len(set(n_range)) < len(n_range):  # the fitted slope would divide 0 by 0
         raise InvalidConfig(f"qubit counts must be distinct, got {n_range}")
     if depth < 1:
@@ -531,48 +525,28 @@ def gradient_variance_study(
     )
 
 
-def topological_entanglement_entropies(amps: np.ndarray, a, b, c) -> np.ndarray:
+def topological_entanglement_entropy(state: StateVector, a, b, c) -> float:
     """Tripartite entropy combination isolating long-range entanglement.
 
-    Returns S_A + S_B + S_C - S_AB - S_BC - S_AC + S_ABC in bits for every
-    row of (N, 2^n) amplitudes; roughly -gamma for topologically ordered
-    states and 0 for trivial ones. For pure states and blocks that cover the
-    register it is 0 up to rounding, since then S_AB = S_C, S_BC = S_A,
-    S_AC = S_B and S_ABC = 0.
+    Returns S_A + S_B + S_C - S_AB - S_BC - S_AC + S_ABC in bits; roughly
+    -gamma for topologically ordered states and 0 for trivial ones. For a
+    pure state and blocks that cover the register it is 0 up to rounding,
+    since then S_AB = S_C, S_BC = S_A, S_AC = S_B and S_ABC = 0.
     """
-    sets = []
-    for part in (a, b, c):
-        s = sorted(set(int(q) for q in part))
-        if not s:
-            raise InvalidSubset("tripartition blocks must be non-empty")
-        sets.append(s)
-    sa, sb, sc = sets
+    sa, sb, sc = (qubit_subset(part, state.n_qubits) for part in (a, b, c))
     if set(sa) & set(sb) or set(sb) & set(sc) or set(sa) & set(sc):
         raise InvalidSubset("tripartition blocks must be disjoint")
-    return (
-        reduced_entropies(amps, sa)
-        + reduced_entropies(amps, sb)
-        + reduced_entropies(amps, sc)
-        - reduced_entropies(amps, sa + sb)
-        - reduced_entropies(amps, sb + sc)
-        - reduced_entropies(amps, sa + sc)
-        + reduced_entropies(amps, sa + sb + sc)
-    )
-
-
-def topological_entanglement_entropy(state: StateVector, a, b, c) -> float:
-    """topological_entanglement_entropies of one state."""
-    return float(topological_entanglement_entropies(state.amplitudes[None], a, b, c)[0])
+    s = [reduced_entropies(state.amplitudes[None], keep) for keep in (sa, sb, sc, sa + sb, sb + sc, sa + sc, sa + sb + sc)]
+    return float((s[0] + s[1] + s[2] - s[3] - s[4] - s[5] + s[6])[0])
 
 
 def circuit_error_rate(epsilon_gate: float, depth: int, gates_per_layer: float) -> float:
     """Closed-form accumulated error 1 - (1 - eps)^(depth * W)."""
     if not 0.0 <= epsilon_gate <= 1.0:
         raise InvalidConfig("gate error rate must lie in [0, 1]")
-    exponent = depth * gates_per_layer
-    if exponent < 0:
-        raise InvalidConfig("depth * gates_per_layer must be >= 0")
-    return 1.0 - (1.0 - epsilon_gate) ** exponent
+    if not (0 <= depth < math.inf and 0 <= gates_per_layer < math.inf):
+        raise InvalidConfig("depth and gates_per_layer must be finite and >= 0")
+    return 1.0 - (1.0 - epsilon_gate) ** (depth * gates_per_layer)
 
 
 def ensemble_gram(e: QuantumEnsemble) -> np.ndarray:

@@ -217,6 +217,8 @@ def normalize_complexity(scores) -> list[float]:
     values = [float(s) for s in scores]
     if not values:
         raise DegenerateCollection("empty benchmark collection")
+    if not all(0 <= v < math.inf for v in values):
+        raise InvalidConfig("scores must be finite and >= 0")
     top = max(values)
     if top <= 0:
         raise DegenerateCollection("collection maximum must be > 0")
@@ -422,8 +424,8 @@ def expressibility_norm_from_kl(kl: float) -> float:
     1 means Haar-like coverage, 0 means no coverage; this is the pinned scale
     that makes the mismatch penalty comparable to normalized complexity.
     """
-    if kl < 0:
-        raise InvalidConfig("KL divergence must be >= 0")
+    if not 0 <= kl < math.inf:
+        raise InvalidConfig("KL divergence must be finite and >= 0")
     return math.exp(-kl)
 
 
@@ -434,8 +436,8 @@ def generalization_gap(
     lambda_penalty: float,
 ) -> float:
     """Empirical error plus the mismatch penalty lambda |E - C|."""
-    if min(eps_emp, expressibility_norm, c_data_norm, lambda_penalty) < 0:
-        raise InvalidConfig("inputs must be >= 0")
+    if not all(0 <= x < math.inf for x in (eps_emp, expressibility_norm, c_data_norm, lambda_penalty)):
+        raise InvalidConfig("inputs must be finite and >= 0")
     return eps_emp + lambda_penalty * abs(expressibility_norm - c_data_norm)
 
 

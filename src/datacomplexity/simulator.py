@@ -8,6 +8,8 @@ ordering. Pauli strings are written with character j acting on qubit j
 
 Capped at 14 qubits: exact desk-scale simulation, no shot noise, no noise
 channels (the gate-error model is a closed-form expression elsewhere).
+require_qubits is the one register rule (InvalidConfig) and qubit_subset the
+one qubit-subset rule (InvalidSubset).
 
 Circuits run on one batched engine, run_batch, and every circuit starts
 from |0...0>. A block holds B states as a (2^n, B) complex array with the
@@ -93,6 +95,29 @@ ROTATION_GATES = ("RX", "RY", "RZ")
 TWO_QUBIT_GATES = ("CNOT", "CZ")
 
 
+def require_qubits(n) -> int:
+    """The register rule: n as an int in 1..MAX_QUBITS, else InvalidConfig."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = 0
+    if not 1 <= count <= MAX_QUBITS:
+        raise InvalidConfig(f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {n!r}")
+    return count
+
+
+def qubit_subset(qubits, n: int) -> list[int]:
+    """The subset rule: the distinct qubits of a non-empty set of integers in
+    0..n-1, in ascending order, else InvalidSubset."""
+    try:
+        subset = sorted({operator.index(q) for q in qubits})
+    except TypeError:
+        subset = []
+    if not subset or subset[0] < 0 or subset[-1] >= n:
+        raise InvalidSubset(f"a qubit subset is a non-empty set of integers in 0..{n - 1}, got {qubits!r}")
+    return subset
+
+
 def _require_unit_norms(norms: np.ndarray) -> None:
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN fails too
     if bad.size:
@@ -105,8 +130,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise InvalidConfig(f"n_qubits must be in 1..{MAX_QUBITS}")
+        object.__setattr__(self, "n_qubits", require_qubits(self.n_qubits))
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.n_qubits,):
             raise ArityError(f"expected {2**self.n_qubits} amplitudes, got {amps.shape}")
@@ -128,6 +152,7 @@ class DensityMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", require_qubits(self.n_qubits))
         v = np.asarray(self.values, dtype=complex)
         dim = 2**self.n_qubits
         if v.shape != (dim, dim):
@@ -184,6 +209,7 @@ class ParameterizedCircuit:
     fixed_angles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", require_qubits(self.n_qubits))
         layout, rotations = [], []
         for g in self.gates:
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
@@ -503,8 +529,7 @@ class FeatureMap:
     def __post_init__(self):
         if self.kind not in ("basis", "angle", "amplitude"):
             raise InvalidConfig(f"unknown feature map kind {self.kind!r}")
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise InvalidConfig(f"n_qubits must be in 1..{MAX_QUBITS}")
+        object.__setattr__(self, "n_qubits", require_qubits(self.n_qubits))
 
 
 def required_qubits(kind: str, n_features: int) -> int:
@@ -594,11 +619,7 @@ def bipartition(amps: np.ndarray, keep) -> np.ndarray:
     order: the smallest kept qubit becomes bit 0 of the row index.
     """
     n = amps.shape[-1].bit_length() - 1
-    keep = sorted(set(int(q) for q in keep))
-    if not keep:
-        raise InvalidSubset("keep must be non-empty")
-    if any(q < 0 or q >= n for q in keep):
-        raise InvalidSubset(f"qubit out of range in {keep}")
+    keep = qubit_subset(keep, n)
     lead = amps.shape[:-1]
     # axis of qubit q in the reshaped tensor is n-1-q (MSB first)
     kept_axes = [n - 1 - q for q in reversed(keep)]
@@ -683,8 +704,9 @@ def expectation(state: StateVector, pauli: str) -> float:
 def layered_layout(n_qubits: int, depth: int) -> tuple:
     """Gate layout of the layered ansatz: per layer one rotation per qubit,
     then a CNOT ladder (q, q+1). Its rotation r reads parameter slot r."""
-    if n_qubits < 1 or depth < 1:
-        raise InvalidConfig("need n_qubits >= 1 and depth >= 1")
+    n_qubits = require_qubits(n_qubits)
+    if depth < 1:
+        raise InvalidConfig("depth must be >= 1")
     layer = tuple(("R", (q,)) for q in range(n_qubits)) + tuple(("CNOT", (q, q + 1)) for q in range(n_qubits - 1))
     return layer * depth
 

@@ -56,9 +56,14 @@ from datacomplexity.simulator import (
     Gate,
     ParameterizedCircuit,
     StateVector,
+    bipartition,
     encoding_circuit,
+    layered_layout,
     partial_trace,
+    partial_trace_density,
+    qubit_subset,
     random_layered_circuit,
+    require_qubits,
     run_circuit,
     zero_state,
 )
@@ -716,8 +721,11 @@ def test_ensemble_validation(bell_state):
         QuantumEnsemble()
     with pytest.raises(EnsembleError):
         QuantumEnsemble(e.amplitudes, factors=plus)
-    for shape in [(3, 2, 0), (0, 2, 4), (3, 3, 4), (3, 2), (15, 2, 4)]:
+    for shape in [(3, 2, 0), (3, 3, 4), (3, 2)]:
         with pytest.raises(EnsembleError):
+            QuantumEnsemble(factors=np.ones(shape))
+    for shape in [(0, 2, 4), (15, 2, 4)]:  # the register rule
+        with pytest.raises(InvalidConfig):
             QuantumEnsemble(factors=np.ones(shape))
     with pytest.raises(InvalidState):
         QuantumEnsemble(factors=np.ones((3, 2, 4)))
@@ -735,3 +743,106 @@ def test_ensemble_gram_and_distances(bell_state, product_plus_state):
     # sqrt amplifies the ~1e-16 fidelity rounding into ~1e-8
     assert d[0, 1] == pytest.approx(0.0, abs=1e-7)
     assert d[0, 2] == pytest.approx(math.sqrt(1 - gram[0, 2]))
+
+
+# ---------------------------------------------------------------------------
+# the register rule and the qubit-subset rule, each written once in simulator
+
+REGISTER_CALLERS = {
+    "StateVector": lambda n: StateVector(n_qubits=n, amplitudes=[1.0]),
+    "DensityMatrix": lambda n: DensityMatrix(n_qubits=n, values=[[1.0]]),
+    "FeatureMap": lambda n: FeatureMap("angle", n),
+    "ParameterizedCircuit": lambda n: ParameterizedCircuit(n_qubits=n, gates=(), n_params=0),
+    "gradient_variance_study": lambda n: gradient_variance_study([2, n], 1, 200, "global", SeededRng(0)),
+    "layered_layout": lambda n: layered_layout(n, 1),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_QUBITS + 1, 2.5])
+@pytest.mark.parametrize("caller", sorted(REGISTER_CALLERS))
+def test_register_rule_refuses_bad_registers(caller, n):
+    """Every constructor and entry point that fixes a register takes an
+    integer in 1..MAX_QUBITS; a float is not truncated."""
+    with pytest.raises(InvalidConfig, match=f"n_qubits must be an integer in 1..{MAX_QUBITS}"):
+        REGISTER_CALLERS[caller](n)
+
+
+@pytest.mark.parametrize("n", [0, MAX_QUBITS + 1])
+def test_register_rule_refuses_bad_ensembles(n):
+    """An ensemble's register is read from its shape: the rule applies to
+    both forms, while a malformed shape stays an EnsembleError."""
+    with pytest.raises(InvalidConfig):
+        QuantumEnsemble(factors=np.ones((n, 2, 1)))
+    with pytest.raises(InvalidConfig):
+        QuantumEnsemble(np.ones((1, 2**n)))
+
+
+def test_register_rule_accepts_integers():
+    assert require_qubits(np.int64(3)) == 3 and type(require_qubits(np.int64(3))) is int
+    assert FeatureMap("angle", np.int32(MAX_QUBITS)).n_qubits == MAX_QUBITS
+    assert require_qubits(1) == 1
+
+
+def test_out_of_range_circuit_refused_before_any_buffer():
+    """A 20-qubit circuit is refused at construction, so gradient never
+    simulates 2^20 amplitudes; a negative register no longer reaches
+    run_batch."""
+    gates = (Gate("RY", (0,), param_slot=0),)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfig):
+            gradient(ParameterizedCircuit(n_qubits=20, gates=gates, n_params=1), [0.1], "Z" * 20, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(InvalidConfig):
+        ParameterizedCircuit(n_qubits=-1, gates=(), n_params=0)
+    with pytest.raises(InvalidConfig):
+        random_layered_circuit(20, 1, SeededRng(0).child())
+
+
+SUBSET_CALLERS = {
+    "bipartition": lambda state, s: bipartition(state.amplitudes, s),
+    "partial_trace": lambda state, s: partial_trace(state, s),
+    "partial_trace_density": lambda state, s: partial_trace_density(partial_trace(state, [0, 1, 2]), s),
+    "schmidt_spectra": lambda state, s: schmidt_spectra(state.amplitudes[None], s),
+    "schmidt_rank": lambda state, s: schmidt_rank(state, s),
+    "mutual_information_a": lambda state, s: quantum_mutual_information(state, s, [1]),
+    "mutual_information_b": lambda state, s: quantum_mutual_information(state, [0], s),
+    "mutual_information_density": lambda state, s: quantum_mutual_information(partial_trace(state, [0, 1, 2]), s, [1]),
+    "topological_entanglement_entropy": lambda state, s: topological_entanglement_entropy(state, s, [1], [2]),
+    "connected_correlator": lambda state, s: connected_correlator(state, [(q, "Z") for q in s]),
+}
+
+
+@pytest.mark.parametrize("subset", [[], [-1], [3], [0.9]], ids=["empty", "negative", "n", "float"])
+@pytest.mark.parametrize("caller", sorted(SUBSET_CALLERS))
+def test_subset_rule_refuses_bad_subsets(caller, subset, ghz3_state):
+    """Every subset of a 3-qubit state is a non-empty set of integers in
+    0..2: a negative qubit is not read from the end, and a float is not
+    truncated."""
+    with pytest.raises(InvalidSubset, match="a qubit subset is a non-empty set of integers in 0..2"):
+        SUBSET_CALLERS[caller](ghz3_state, subset)
+
+
+def test_subset_rule_defects(bell_state):
+    """Calls that returned values for subsets they should refuse: the
+    floats read as qubits 0 and 1, and qubit -1 as qubit 1."""
+    with pytest.raises(InvalidSubset):
+        quantum_mutual_information(bell_state, [0.9], [1.2])
+    with pytest.raises(InvalidSubset):
+        partial_trace(bell_state, [0.9])
+    for q in (-1, 5):
+        with pytest.raises(InvalidSubset):
+            connected_correlator(bell_state, [(q, "Z")])
+
+
+def test_subset_rule_sorts_distinct_integers():
+    assert qubit_subset(np.array([2, 0, 2]), 3) == [0, 2]
+    assert all(type(q) is int for q in qubit_subset((np.int64(1),), 2))
+    # the callers keep their own rules
+    with pytest.raises(InvalidSubset, match="repeated"):
+        connected_correlator(zero_state(2), [(0, "Z"), (0, "X")])
+    with pytest.raises(InvalidSubset, match="overlap"):
+        quantum_mutual_information(zero_state(2), [0], [0, 1])

@@ -56,7 +56,7 @@ def test_qprofile_computes_each_quantity_once(monkeypatch):
         "partial_trace": 0,
         "von_neumann_entropy": 0,
         "run_batch": 0,
-        "topological_entanglement_entropies": 0,
+        "topological_entanglement_entropy": 0,
     }
     counted = {
         "embed_dataset": scoring.embed_dataset,
@@ -71,7 +71,7 @@ def test_qprofile_computes_each_quantity_once(monkeypatch):
         "partial_trace": simulator.partial_trace,
         "von_neumann_entropy": qmetrics.von_neumann_entropy,
         "run_batch": simulator.run_batch,
-        "topological_entanglement_entropies": qmetrics.topological_entanglement_entropies,
+        "topological_entanglement_entropy": qmetrics.topological_entanglement_entropy,
     }
     calls = Counter()
 

@@ -18,10 +18,11 @@ from datacomplexity.errors import (
 from datacomplexity.qmetrics import (
     GradientStudy,
     QuantumEnsemble,
+    circuit_error_rate,
     collective_z_qfis,
     ensemble_gram,
     product_z_qfis,
-    topological_entanglement_entropies,
+    topological_entanglement_entropy,
     uniform_ensemble,
 )
 from datacomplexity.report import profile_quantum
@@ -31,6 +32,7 @@ from datacomplexity.scoring import (
     classical_complexity,
     default_tripartition,
     embed_dataset,
+    expressibility_norm_from_kl,
     fit_alpha,
     generalization_gap,
     mean_bipartite_entropy,
@@ -280,8 +282,8 @@ def test_tee_vanishes_on_pure_states_with_covering_tripartition(n):
         states.append(run_circuit(circuit, rng.uniform(0, 2 * math.pi, circuit.n_params)))
     e = uniform_ensemble(states)
     assert mean_bipartite_entropy(e) > 0.1  # the states are entangled
-    tee = topological_entanglement_entropies(e.amplitudes, *default_tripartition(n))
-    assert np.max(np.abs(tee)) <= 1e-12
+    for state in states:
+        assert abs(topological_entanglement_entropy(state, *default_tripartition(n))) <= 1e-12
     tee_only = quantum_metrics(e, ConfigProfile(gamma_weights=(1.0, 0.0, 0.0)))
     assert tee_only.entries["quantum_topological_complexity"].raw == 0.0
 
@@ -519,11 +521,48 @@ def test_gap_examples():
 
 
 def test_expressibility_norm_mapping():
-    from datacomplexity.scoring import expressibility_norm_from_kl
-
     assert expressibility_norm_from_kl(0.0) == 1.0
     assert expressibility_norm_from_kl(math.log(4)) == pytest.approx(0.25)
     assert 0.0 < expressibility_norm_from_kl(20.0) < 1e-8
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: circuit_error_rate(0.1, NAN, 1),
+        lambda: circuit_error_rate(0.1, 2, INF),
+        lambda: circuit_error_rate(0.1, -1, -1),
+        lambda: generalization_gap(NAN, 0, 0, 1),
+        lambda: generalization_gap(0.1, 0.5, 0.5, INF),
+        lambda: expressibility_norm_from_kl(NAN),
+        lambda: expressibility_norm_from_kl(INF),
+        lambda: normalize_complexity([1.0, INF]),
+        lambda: normalize_complexity([1.0, NAN]),
+        lambda: GradientStudy((2,), 1, 200, "global", (NAN,), 0.0, 0),
+        lambda: GradientStudy((2,), 1, 200, "global", (INF,), 0.0, 0),
+    ],
+    ids=[
+        "error_rate_nan_depth",
+        "error_rate_inf_gates",
+        "error_rate_negative_pair",
+        "gap_nan",
+        "gap_inf",
+        "kl_nan",
+        "kl_inf",
+        "normalize_inf",
+        "normalize_nan",
+        "study_nan_variance",
+        "study_inf_variance",
+    ],
+)
+def test_paper_formulas_reject_non_finite_inputs(call):
+    """Each formula checks 0 <= x < inf, so NaN and +-inf fail with
+    InvalidConfig rather than returning or holding NaN."""
+    with pytest.raises(InvalidConfig):
+        call()
 
 
 def test_gap_minimized_at_match():

@@ -10,9 +10,11 @@ place builds the error: flag of a failing stage, one writes the metric
 entries that every report reads, and no script catches an
 exception: every entry point exits through cli.run. No code calls
 numpy's LAPACK least-squares solvers (polyfit, lstsq): every fit is the
-closed form of qmetrics.least_squares_slope. And src/ holds only what a verb, a script or the acceptance suite reaches, what
+closed form of qmetrics.least_squares_slope. The register bound MAX_QUBITS
+is compared in simulator.require_qubits alone. And src/ holds only what a verb, a script or the acceptance suite reaches, what
 the benchmark traces, or a paper formula named in PAPER_FORMULAS: test
-oracles live in tests/.
+oracles live in tests/. Every Python file of the project parses under the
+grammar of Python 3.10, the oldest version pyproject.toml accepts.
 """
 
 import ast
@@ -100,15 +102,26 @@ def _written(target):
     return [target] if isinstance(target, ast.Attribute) else []
 
 
+def _scoped_nodes(path):
+    """(node, enclosing def) of every node of a module, the def named like
+    Class.method ("" at module level, the def itself for its own node)."""
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        yield node, scope
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(_tree(path), "")
+
+
 def _entry_writers(path):
     """(module, enclosing def) of every store into an `entries` attribute:
     assigning, augmenting or deleting it or an item of it, or calling a dict
     method that changes it in place."""
     found = set()
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
+    for node, scope in _scoped_nodes(path):
         if isinstance(node, (ast.Assign, ast.Delete)):
             targets = node.targets
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -119,10 +132,6 @@ def _entry_writers(path):
             targets = []
         if any(a.attr == "entries" for t in targets for a in _written(t)):
             found.add((_id(path), scope))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(_tree(path), "")
     return found
 
 
@@ -140,6 +149,30 @@ def test_script_has_no_except(path):
     entry point, so no script catches an exception itself."""
     lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.ExceptHandler)]
     assert lines == [], f"{path.name} has except clauses at lines {lines}"
+
+
+def test_one_register_rule():
+    """Every state, circuit, map, ensemble, layout and study bounds its
+    register through simulator.require_qubits, so no caller carries its own
+    copy of the 1..MAX_QUBITS check."""
+    found = {
+        (_id(path), scope)
+        for path in MODULES
+        for node, scope in _scoped_nodes(path)
+        if isinstance(node, ast.Compare) and "MAX_QUBITS" in _names(node)
+    }
+    assert found == {("datacomplexity/simulator.py", "require_qubits")}, f"MAX_QUBITS compared in {sorted(found)}"
+
+
+PYTHON_FILES = sorted(p for d in ("src", "scripts", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_as_python_3_10(path):
+    """pyproject.toml says requires-python >= 3.10: syntax newer than 3.10
+    (except*, say) would break that claim on an interpreter the suite does
+    not run on."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 # Calls that construct a numpy random source; any other call into
