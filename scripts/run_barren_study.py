@@ -7,8 +7,10 @@ fits the log-linear decay and backs out the alpha of the variance model
 Var = exp(-alpha n d C). With the global cost the slope should sit near
 -ln 2. Every option but --seed, --c-norm, --epsilon-grad and --out goes to
 the verb (--n-min, --n-max, --depth, --samples, --cost, --config), which
-validates it and sets the exit code of a failed run. --out X keeps the
-verb's schema-v1 report as X.json and its CSV as X.csv.
+validates it and sets the exit code of a failed run. --epsilon-grad keeps
+the rule of the epsilon_grad config field (> 0), checked before the verb
+runs. --out X keeps the verb's schema-v1 report as X.json and its CSV as
+X.csv.
 
 Example:
     python scripts/run_barren_study.py --n-min 2 --n-max 8 --depth 4 \
@@ -21,6 +23,7 @@ import os
 import tempfile
 
 from datacomplexity import cli
+from datacomplexity.config import require
 from datacomplexity.errors import FitError
 from datacomplexity.qmetrics import GradientStudy
 from datacomplexity.scoring import fit_alpha, trainability_condition, trainability_prediction
@@ -34,6 +37,7 @@ def main(argv=None) -> int:
     parser.add_argument("--epsilon-grad", type=float, default=1e-4)
     parser.add_argument("--out", default=None, help="basename for CSV/JSON outputs")
     args, verb_args = parser.parse_known_args(argv)
+    require("epsilon_grad", args.epsilon_grad)
 
     with tempfile.TemporaryDirectory() as tmp:
         base = args.out or os.path.join(tmp, "barren")

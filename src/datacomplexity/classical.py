@@ -21,12 +21,12 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
+from .config import require
 from .dataset import Dataset, scale_by_max_magnitude
 from .errors import (
     DegenerateSpectrum,
     EmptyDataset,
     InsufficientSamples,
-    InvalidConfig,
     InvalidIndexSet,
     NotStandardized,
     NumericalError,
@@ -118,9 +118,9 @@ def kernel_effective_dimension(s: Spectrum, lam: float) -> float:
     the value is the nonzero-eigenvalue count; otherwise a sub-threshold
     eigenvalue could push d_eff above the rank for tiny ridges. Each call
     checks the spectral lower bound (sum)^2 / (sum of squares + lam * sum).
+    lam keeps the rule of kernel_ridge.
     """
-    if lam < 0:
-        raise InvalidConfig("regularization must be >= 0")
+    require("kernel_ridge", lam)
     ev = s.nonzero()
     d_eff = float(np.sum(ev / (ev + lam)))
     total = float(ev.sum())
@@ -145,9 +145,9 @@ def distributional_entropy(ds: Dataset, bins: int) -> float:
 
     Each column is split into `bins` equal-width bins over its own range; a
     row becomes the tuple of its bin ids. Constant columns land in bin 0.
+    bins keeps the rule of bins_entropy.
     """
-    if bins < 1:
-        raise InvalidConfig("bins must be >= 1")
+    require("bins_entropy", bins)
     m = scale_by_max_magnitude(ds.matrix)  # bin ids are invariant under this scaling
     lo = m.min(axis=0)
     hi = m.max(axis=0)
@@ -265,12 +265,6 @@ def _cumulant_chunks(ds: Dataset, order: int):
         yield sets, _chunk_cumulants(xt, sets)
 
 
-def require_threshold(epsilon: float) -> None:
-    """The one check of a significance threshold epsilon: finite and > 0."""
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise InvalidConfig(f"epsilon must be finite and > 0, got {epsilon}")
-
-
 def interaction_order(ds: Dataset, epsilon: float) -> int:
     """Highest order k in 2..4 at which some cumulant's magnitude exceeds epsilon.
 
@@ -280,9 +274,9 @@ def interaction_order(ds: Dataset, epsilon: float) -> int:
     cumulant. This is the integer the order-by-order maximum over all sets
     gives; NaN cumulants never count as significant. Returns 1 when no order
     is significant: datasets with no detectable interactions get a defined
-    floor.
+    floor. epsilon keeps the rule of epsilon_cumulant.
     """
-    require_threshold(epsilon)
+    require("epsilon_cumulant", epsilon)
     if not ds.is_standardized:
         raise NotStandardized("interaction order is defined on standardized data")
     for k in range(min(CUMULANT_ORDER_CAP, ds.n_features), 1, -1):
@@ -312,21 +306,20 @@ def kernel_gram(ds: Dataset, kind: str = "rbf", bandwidth: float = 1.0) -> np.nd
     Its exponent is 0 where two rows are equal and reads -inf where the
     quotient overflows, so a bandwidth whose square underflows gives the
     limit kernel, 1 on equal rows and 0 elsewhere; a square that overflows
-    reads inf and gives the all-ones kernel.
+    reads inf and gives the all-ones kernel. kind and bandwidth keep the
+    rules of kernel_kind and kernel_bandwidth.
     """
+    require("kernel_kind", kind)
+    require("kernel_bandwidth", bandwidth)
     x = ds.matrix
     if kind == "linear":
         gram = x @ x.T
-    elif kind == "rbf":
-        if bandwidth <= 0:
-            raise InvalidConfig("rbf bandwidth must be > 0")
+    else:
         d2 = squared_distances(x)
         with np.errstate(divide="ignore", over="ignore"):
             np.divide(d2, 2.0 * np.float64(bandwidth) ** 2, out=d2, where=d2 > 0.0)
         gram = np.exp(-d2)
         np.fill_diagonal(gram, 1.0)
-    else:
-        raise InvalidConfig(f"unknown kernel kind {kind!r}")
     if not np.all(np.isfinite(gram)):
         raise NumericalError("kernel matrix contains non-finite entries")
     return 0.5 * (gram + gram.T)

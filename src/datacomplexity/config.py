@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .topology import DEFAULT_POINT_CAP
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -172,6 +171,7 @@ class SeededRng:
 # bin, and the expressibility sampler runs two states per sample.
 MAX_FIDELITY_BINS = 1 << 16
 MAX_EXPRESSIBILITY_SAMPLES = 1 << 16
+DEFAULT_POINT_CAP = 512  # points of a Rips complex (rips_point_cap)
 
 
 def _has_type(annotation: str, value) -> bool:
@@ -261,7 +261,7 @@ class ConfigProfile:
     Defaults: uniform weights within each group, cumulant threshold 0.1 on
     standardized data, Rips scale capped at the dataset diameter (``None``),
     16 entropy bins per column, 75 fidelity bins. Each field declares its
-    Rule beside its default, and validate_config checks it.
+    Rule beside its default, and require applies it.
     """
 
     # composite weights
@@ -331,6 +331,16 @@ class ConfigProfile:
         return fnv1a64(self.canonical_json().encode("utf-8"))
 
 
+def require(name: str, value):
+    """Return value if it keeps the Rule of the ConfigProfile field `name`
+    (Rule.check), else raise InvalidConfig naming the field: the one place a
+    field's rule is applied, to a config's value and to every parameter of
+    a public function that the field governs."""
+    field = ConfigProfile.__dataclass_fields__[name]
+    field.metadata["rule"].check(name, field.type, value)
+    return value
+
+
 def validate_config(cfg: ConfigProfile) -> ConfigProfile:
     """Validate a config and return it unchanged.
 
@@ -339,7 +349,7 @@ def validate_config(cfg: ConfigProfile) -> ConfigProfile:
     coefficients when the resource estimate is not finite at C = 1.
     """
     for f in dataclasses.fields(cfg):
-        f.metadata["rule"].check(f.name, f.type, getattr(cfg, f.name))
+        require(f.name, getattr(cfg, f.name))
     # The resource estimate is monotone in C, so it is finite on [0, 1] when it is at C = 1.
     if not _finite(cfg.resource_q0 + cfg.resource_q1):
         raise InvalidConfig("resource_q0 + resource_q1 (the qubit estimate at C = 1) must be finite")

@@ -15,8 +15,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .classical import cumulant_from_moments, entropy_bits, require_threshold
-from .config import SeededRng
+from .classical import cumulant_from_moments, entropy_bits
+from .config import SeededRng, require
 from .errors import (
     EnsembleError,
     InvalidConfig,
@@ -265,9 +265,9 @@ def quantum_interaction_order(state: StateVector, epsilon: float) -> int:
     classical.interaction_order, each over all distinct-qubit index sets and
     all X/Z Pauli assignments in a fixed lexicographic order, and the scan
     stops at the first significant correlator; returns 1 when nothing is
-    significant.
+    significant. epsilon keeps the rule of epsilon_cumulant.
     """
-    require_threshold(epsilon)
+    require("epsilon_cumulant", epsilon)
     n = state.n_qubits
     cache: dict = {}
     for k in range(min(CORRELATOR_ORDER_CAP, n), 1, -1):
@@ -281,18 +281,17 @@ def quantum_interaction_order(state: StateVector, epsilon: float) -> int:
 
 def haar_fidelity_pdf(n_qubits: int, fidelity: float) -> float:
     """Density of |<psi|phi>|^2 for Haar-random pairs: (N-1)(1-F)^(N-2)."""
-    if n_qubits < 1:
-        raise InvalidConfig("n_qubits must be >= 1")
+    dim = 2 ** require_qubits(n_qubits)
     if not 0.0 <= fidelity <= 1.0:
         raise InvalidConfig("fidelity must lie in [0, 1]")
-    dim = 2**n_qubits
     return float((dim - 1) * (1.0 - fidelity) ** (dim - 2))
 
 
 def haar_bin_masses(n_qubits: int, bins: int) -> np.ndarray:
-    """Exact Haar probability mass of each equal-width fidelity bin."""
-    dim = 2**n_qubits
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    """Exact Haar probability mass of each equal-width fidelity bin; bins
+    keeps the rule of bins_fidelity."""
+    dim = 2 ** require_qubits(n_qubits)
+    edges = np.linspace(0.0, 1.0, require("bins_fidelity", bins) + 1)
     cdf = 1.0 - (1.0 - edges) ** (dim - 1)
     return np.diff(cdf)
 
@@ -357,16 +356,14 @@ def expressibility_kl(c: ParameterizedCircuit, n_samples: int, bins: int, rng: S
 
     Zero expressibility gap means the circuit covers state space like the
     Haar measure; parameter-free circuits give all-1 fidelities and a large
-    but finite KL thanks to the additive smoothing.
+    but finite KL thanks to the additive smoothing. n_samples and bins keep
+    the rules of expressibility_samples and bins_fidelity before sampling.
     """
-    if n_samples < 100:
-        raise InvalidConfig("n_samples must be >= 100")
-    if bins < 1:
-        raise InvalidConfig("bins must be >= 1")
+    require("expressibility_samples", n_samples)
+    masses = haar_bin_masses(c.n_qubits, bins)
     fidelities = sample_fidelities(c, n_samples, rng)
     counts, _ = np.histogram(fidelities, bins=bins, range=(0.0, 1.0))
     p = (counts + KL_SMOOTHING) / (n_samples + bins * KL_SMOOTHING)
-    masses = haar_bin_masses(c.n_qubits, bins)
     q = (masses + KL_SMOOTHING) / (masses.sum() + bins * KL_SMOOTHING)
     return float(np.sum(p * np.log(p / q)))
 

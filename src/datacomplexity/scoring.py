@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import effective_rank, entropy_bits, gram_spectrum
-from .config import ConfigProfile, SeededRng
+from .config import ConfigProfile, SeededRng, require
 from .dataset import Dataset, scale_by_max_magnitude
 from .errors import (
     DataComplexityError,
@@ -190,13 +190,10 @@ class CompositeScore:
         }
 
 
-def _weighted_composite(kind: str, mv: MetricVector, names, weights, flags=()) -> CompositeScore:
-    """Weighted sum of the normalized entries `names` of one metric vector."""
-    weights = tuple(float(w) for w in weights)
-    if len(weights) != len(names):
-        raise InvalidConfig(f"{kind} composite takes {len(names)} weights")
-    if any(w < 0 for w in weights):
-        raise InvalidConfig("weights must be >= 0")
+def _weighted_composite(kind: str, mv: MetricVector, names, field: str, weights, flags=()) -> CompositeScore:
+    """Weighted sum of the normalized entries `names` of one metric vector;
+    the weights keep the rule of the ConfigProfile field `field`."""
+    weights = tuple(float(w) for w in require(field, tuple(weights)))
     components = {}
     value = 0.0
     for name, w in zip(names, weights):
@@ -209,7 +206,7 @@ def _weighted_composite(kind: str, mv: MetricVector, names, weights, flags=()) -
 
 def classical_complexity(mv: MetricVector, lambda_weights) -> CompositeScore:
     """Weighted sum of the four normalized classical components."""
-    return _weighted_composite("classical", mv, CLASSICAL_COMPONENTS, lambda_weights)
+    return _weighted_composite("classical", mv, CLASSICAL_COMPONENTS, "lambda_weights", lambda_weights)
 
 
 def normalize_complexity(scores) -> list[float]:
@@ -341,7 +338,7 @@ def quantum_complexity(mv: MetricVector, alpha_weights) -> CompositeScore:
     total persistence. Reads the entries of quantum_metrics.
     """
     flags = ("qfi_generator=collective_z", "tee_convention=tripartite", "magic_monotone=unsupported")
-    return _weighted_composite("quantum", mv, QUANTUM_COMPONENTS, alpha_weights, flags)
+    return _weighted_composite("quantum", mv, QUANTUM_COMPONENTS, "alpha_weights", alpha_weights, flags)
 
 
 def embed_dataset(ds: Dataset, fm: FeatureMap) -> QuantumEnsemble:
@@ -381,7 +378,7 @@ def induced_complexity(mv: MetricVector, beta_weights, fm_kind: str) -> Composit
     defined for angle maps.
     """
     m5 = "m5=decided_proxy" if fm_kind == "angle" else "m5=not_applicable"
-    return _weighted_composite("induced", mv, INDUCED_COMPONENTS, beta_weights, ("qfi_generator=collective_z", m5))
+    return _weighted_composite("induced", mv, INDUCED_COMPONENTS, "beta_weights", beta_weights, ("qfi_generator=collective_z", m5))
 
 
 def trainability_prediction(
@@ -392,8 +389,10 @@ def trainability_prediction(
     c_topo_q: float = 0.0,
     delta: float = 0.0,
 ) -> float:
-    """Predicted gradient variance exp(-alpha n d (C + delta C_topo))."""
-    if not all(0 <= x < math.inf for x in (n_qubits, depth, c_norm, alpha, c_topo_q, delta)):
+    """Predicted gradient variance exp(-alpha n d (C + delta C_topo)); delta
+    keeps the rule of delta_topo."""
+    require("delta_topo", delta)
+    if not all(0 <= x < math.inf for x in (n_qubits, depth, c_norm, alpha, c_topo_q)):
         raise InvalidConfig("all model inputs must be finite and >= 0")
     return math.exp(-alpha * n_qubits * depth * (c_norm + delta * c_topo_q))
 
@@ -412,9 +411,11 @@ def fit_alpha(study: GradientStudy, depth: int, c_norm: float) -> float:
 
 
 def trainability_condition(predicted_var: float, epsilon_grad: float) -> bool:
-    """Trainable iff the predicted variance stays at or above the noise floor."""
-    if not (0 <= predicted_var < math.inf and 0 <= epsilon_grad < math.inf):
-        raise InvalidConfig("inputs must be finite and >= 0")
+    """Trainable iff the predicted variance stays at or above the noise floor
+    epsilon_grad, which keeps the rule of its field."""
+    require("epsilon_grad", epsilon_grad)
+    if not 0 <= predicted_var < math.inf:
+        raise InvalidConfig("predicted_var must be finite and >= 0")
     return predicted_var >= epsilon_grad
 
 
@@ -435,8 +436,10 @@ def generalization_gap(
     c_data_norm: float,
     lambda_penalty: float,
 ) -> float:
-    """Empirical error plus the mismatch penalty lambda |E - C|."""
-    if not all(0 <= x < math.inf for x in (eps_emp, expressibility_norm, c_data_norm, lambda_penalty)):
+    """Empirical error plus the mismatch penalty lambda |E - C|; lambda_penalty
+    keeps the rule of its field."""
+    require("lambda_penalty", lambda_penalty)
+    if not all(0 <= x < math.inf for x in (eps_emp, expressibility_norm, c_data_norm)):
         raise InvalidConfig("inputs must be finite and >= 0")
     return eps_emp + lambda_penalty * abs(expressibility_norm - c_data_norm)
 

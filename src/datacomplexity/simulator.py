@@ -212,6 +212,8 @@ class ParameterizedCircuit:
         object.__setattr__(self, "n_qubits", require_qubits(self.n_qubits))
         layout, rotations = [], []
         for g in self.gates:
+            if g.name not in (*FIXED_GATES, *ROTATION_GATES, *TWO_QUBIT_GATES):
+                raise ParseError(f"unknown gate {g.name!r}")
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
                 raise ArityError(f"gate {g.name} addresses qubit out of range: {g.qubits}")
             if g.name in TWO_QUBIT_GATES:
@@ -284,11 +286,7 @@ def _coefficient_rows(axes: np.ndarray, angles: np.ndarray):
 def _gate_matrix(name: str, coeffs) -> np.ndarray:
     """(2, 2, B) matrix of a single-qubit gate: the next of `coeffs` for a
     rotation ("R"), a broadcastable (2, 2, 1) for a fixed gate."""
-    if name == "R":
-        return next(coeffs)
-    if name in FIXED_GATES:
-        return FIXED_GATES[name][:, :, None]
-    raise ParseError(f"unknown gate {name!r}")
+    return next(coeffs) if name == "R" else FIXED_GATES[name][:, :, None]
 
 
 @lru_cache(maxsize=64)
@@ -314,8 +312,7 @@ def _fused_permutation(n: int, run: tuple[tuple[str, tuple[int, ...]], ...]) -> 
 
 def _program(n: int, layout) -> list[tuple]:
     """Kernel steps of a layout: ("gate", name, qubit) per single-qubit gate
-    (_gate_matrix rejects an unknown name) and ("perm", perm, sign) per
-    maximal CNOT/CZ run."""
+    and ("perm", perm, sign) per maximal CNOT/CZ run."""
     steps: list[tuple] = []
     run: list = []
     for name, qubits in layout:

@@ -40,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_POINT_CAP, require
 from .errors import InvalidConfig, NumericalError, TooManyPoints
-
-DEFAULT_POINT_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -156,16 +155,17 @@ def rips_filtration(
 
     Edges are sorted by (value, i, j); triangles and tetrahedra are never
     listed, persistence_diagram builds their keys from the rank matrix.
+    max_scale, max_dim and point_cap keep the rules of rips_max_scale,
+    max_homology_dim and rips_point_cap.
     """
-    if max_dim not in (0, 1, 2):
-        raise InvalidConfig("max_dim must be 0, 1 or 2")
+    require("rips_max_scale", max_scale)
+    require("max_homology_dim", max_dim)
+    require("rips_point_cap", point_cap)
     n = dm.n
     if n > point_cap:
         raise TooManyPoints(f"{n} points exceeds the cap {point_cap}")
     if max_scale is None:
         max_scale = dm.diameter()
-    if max_scale < 0:
-        raise InvalidConfig("max_scale must be >= 0")
 
     iu, ju = np.triu_indices(n, k=1)
     values = dm.values[iu, ju]
@@ -373,7 +373,7 @@ def euler_characteristic(pd: PersistenceDiagram, scale: float) -> int:
 
 
 def topological_complexity(pd: PersistenceDiagram, weights: tuple[float, ...]) -> float:
-    """Weighted sum over dimensions of total persistence."""
-    if any(w < 0 for w in weights):
-        raise InvalidConfig("topology weights must be >= 0")
+    """Weighted sum over dimensions of total persistence; the weights keep
+    the rule of w_topology."""
+    weights = require("w_topology", tuple(weights))
     return float(sum(w * total_persistence(pd, k) for k, w in enumerate(weights)))

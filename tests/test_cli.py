@@ -315,6 +315,35 @@ def test_file_errors_exit_with_their_code(argv, code, prefix, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# file name, its contents, the arguments that read it ({path}), the exit code
+# and the message after "input error: {path}: " (exit 2) or "invalid
+# configuration: " (exit 4)
+INPUT_ERRORS = {
+    "empty_table": ("a.json", '{"data": []}', ["profile", "{path}"], 2, "empty table"),
+    "empty_rows": ("a.json", '{"data": [[]]}', ["profile", "{path}"], 2, "empty rows"),
+    "json_without_data": ("a.json", '{"rows": [[1]]}', ["profile", "{path}"], 2, "JSON input must be an object with a 'data' key"),
+    "csv_field_too_large": (
+        "a.csv", "1," + "x" * 200_000 + "\n", ["profile", "{path}"], 2,
+        "malformed CSV (field larger than field limit (131072))",
+    ),
+    "config_not_an_object": (
+        "c.json", "[1, 2]", ["profile", "synth:parity", "--config", "{path}"], 4, "config file must contain a JSON object",
+    ),
+    "synth_parameter_without_value": (None, None, ["profile", "synth:parity:n"], 4, "bad synthetic parameter 'n'"),
+}
+
+
+@pytest.mark.parametrize("name, text, argv, code, message", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
+def test_documented_input_errors_exit_with_their_code(name, text, argv, code, message, tmp_path, capsys):
+    path = tmp_path / str(name)
+    if text is not None:
+        path.write_text(text)
+    got, out, err = run_cli([arg.format(path=path) for arg in argv], capsys)
+    assert (got, out) == (code, "")
+    prefix = f"input error: {path}: " if code == 2 else "invalid configuration: "
+    assert err == f"{prefix}{message}\n"
+
+
 def test_os_error_without_a_path_propagates(monkeypatch):
     """Only an error naming a path (or a closed stdout) exits 2; another
     OSError without a path, such as a full disk under stdout, is not

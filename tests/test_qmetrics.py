@@ -755,6 +755,8 @@ REGISTER_CALLERS = {
     "ParameterizedCircuit": lambda n: ParameterizedCircuit(n_qubits=n, gates=(), n_params=0),
     "gradient_variance_study": lambda n: gradient_variance_study([2, n], 1, 200, "global", SeededRng(0)),
     "layered_layout": lambda n: layered_layout(n, 1),
+    "haar_fidelity_pdf": lambda n: haar_fidelity_pdf(n, 0.5),
+    "haar_bin_masses": lambda n: haar_bin_masses(n, 4),
 }
 
 

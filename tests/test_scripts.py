@@ -47,8 +47,8 @@ def test_barren_study_writes_the_verbs_report_and_csv(tmp_path, monkeypatch, cap
         ([*STUDY, "--c-norm", "-1"], 1, "error: depth and c_norm must be finite and > 0"),
         ([*STUDY, "--c-norm", "nan"], 1, "error: depth and c_norm must be finite and > 0"),
         ([*STUDY, "--c-norm", "inf"], 1, "error: depth and c_norm must be finite and > 0"),
-        ([*STUDY, "--epsilon-grad", "-1"], 4, "invalid configuration: inputs must be finite and >= 0"),
-        ([*STUDY, "--epsilon-grad", "nan"], 4, "invalid configuration: inputs must be finite and >= 0"),
+        ([*STUDY, "--epsilon-grad", "-1"], 4, "invalid configuration: epsilon_grad must be > 0, got -1.0"),
+        ([*STUDY, "--epsilon-grad", "nan"], 4, "invalid configuration: epsilon_grad must be finite, got nan"),
     ],
     ids=["verb_validation", "fit_error", "growing_variance", "c_norm_negative", "c_norm_nan", "c_norm_inf",
          "epsilon_grad_negative", "epsilon_grad_nan"],
@@ -58,6 +58,15 @@ def test_barren_study_failures_exit_with_code_and_message(argv, code, message, m
     assert got == code
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "0"])
+def test_barren_study_checks_epsilon_grad_before_the_study(value, monkeypatch, capsys):
+    """--epsilon-grad keeps the epsilon_grad rule and is checked before the
+    verb runs: nothing of the study is printed."""
+    code, out, err = run_script("run_barren_study", [*STUDY, "--epsilon-grad", value], monkeypatch, capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("invalid configuration: epsilon_grad must be ")
 
 
 def test_profile_synthetics_writes_the_verbs_reports(tmp_path, monkeypatch, capsys):

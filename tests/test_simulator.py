@@ -636,6 +636,28 @@ def test_gate_qubits_become_an_int_tuple():
             Gate("H", bad)
 
 
+@pytest.mark.parametrize(
+    "n_qubits, gates, n_params, error, message",
+    [
+        (1, [Gate("FOO", (0,))], 0, ParseError, "unknown gate 'FOO'"),
+        (2, [Gate("H", (2,))], 0, ArityError, "gate H addresses qubit out of range"),
+        (2, [Gate("CNOT", (1, 1))], 0, ArityError, "CNOT needs two distinct qubits"),
+        (2, [Gate("X", (0, 1))], 0, ArityError, "X is a single-qubit gate"),
+        (1, [Gate("RX", (0,), param_slot=0, angle=0.5)], 1, ArityError, "rotation gates need exactly one"),
+        (1, [Gate("Z", (0,), angle=0.5)], 0, ArityError, "Z takes no parameter"),
+        (1, [Gate("RY", (0,), param_slot=1)], 2, ArityError, "parameter slots must be contiguous"),
+        (1, [Gate("RZ", (0,), angle=0.5)], 1, ArityError, "n_params > 0 but no parameterized gate"),
+    ],
+    ids=["unknown_name", "qubit_range", "two_qubit_arity", "one_qubit_arity", "rotation_parameter",
+         "fixed_gate_parameter", "slot_gap", "unused_params"],
+)
+def test_circuit_checks_every_gate_at_construction(n_qubits, gates, n_params, error, message):
+    """A gate list that cannot run is refused when the circuit is built, an
+    unknown gate name included, so no run ever meets one."""
+    with pytest.raises(error, match=f"^{message}"):
+        ParameterizedCircuit(n_qubits, tuple(gates), n_params)
+
+
 def test_state_norm_validation():
     with pytest.raises(InvalidState):
         StateVector(n_qubits=1, amplitudes=np.array([1.0, 1.0]))

@@ -11,7 +11,8 @@ entries that every report reads, and no script catches an
 exception: every entry point exits through cli.run. No code calls
 numpy's LAPACK least-squares solvers (polyfit, lstsq): every fit is the
 closed form of qmetrics.least_squares_slope. The register bound MAX_QUBITS
-is compared in simulator.require_qubits alone. And src/ holds only what a verb, a script or the acceptance suite reaches, what
+is compared in simulator.require_qubits alone, and a config field's Rule is
+read in config.require alone. And src/ holds only what a verb, a script or the acceptance suite reaches, what
 the benchmark traces, or a paper formula named in PAPER_FORMULAS: test
 oracles live in tests/. Every Python file of the project parses under the
 grammar of Python 3.10, the oldest version pyproject.toml accepts.
@@ -162,6 +163,20 @@ def test_one_register_rule():
         if isinstance(node, ast.Compare) and "MAX_QUBITS" in _names(node)
     }
     assert found == {("datacomplexity/simulator.py", "require_qubits")}, f"MAX_QUBITS compared in {sorted(found)}"
+
+
+def test_one_rule_per_config_value():
+    """A ConfigProfile field's Rule is read from its metadata in
+    config.require alone: validate_config and every function that takes a
+    value the field governs call it, so no copy of the rule is written by
+    hand."""
+    found = {
+        (_id(path), scope)
+        for path in MODULES
+        for node, scope in _scoped_nodes(path)
+        if isinstance(node, ast.Subscript) and "metadata" in _names(node.value)
+    }
+    assert found == {("datacomplexity/config.py", "require")}, f"field metadata read in {sorted(found)}"
 
 
 PYTHON_FILES = sorted(p for d in ("src", "scripts", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))

@@ -145,7 +145,8 @@ def test_total_persistence_empty_and_single():
 
 def test_topological_complexity_weights():
     pd = square_diagram()
-    assert topological_complexity(pd, (0.0, 0.0)) == 0.0
+    with pytest.raises(InvalidConfig, match="^w_topology must be "):  # an all-zero group, as a config refuses it
+        topological_complexity(pd, (0.0, 0.0))
     assert topological_complexity(pd, (0.0, 1.0)) == pytest.approx(math.sqrt(2) - 1)
 
 
